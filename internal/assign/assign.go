@@ -215,27 +215,6 @@ func (t *dimTable) bin(v float64) int {
 	return int(t.unitBin[u])
 }
 
-// binUnit computes the clamped fine unit of f = fineF*(v-lo)/width
-// against the unit table ub (the caller's local copy of unitBin, so
-// the in-range guard doubles as the table's bounds check). It is
-// bin's clamping restated for a straight-line hot path: int(f) is
-// already the exact unit for every in-domain value including f in
-// (0,1), so only out-of-range results — negative f, f >= fineF, and
-// the implementation-defined conversions of NaN/±Inf — take the
-// fixup branch, which re-derives the clamp from f itself the way bin
-// does (NaN fails f > 0 and lands on unit 0).
-func binUnit(f float64, ub []uint16) int {
-	u := int(f)
-	if uint(u) >= uint(len(ub)) {
-		if f > 0 {
-			u = len(ub) - 1
-		} else {
-			u = 0
-		}
-	}
-	return u
-}
-
 // nzBit is 1<<63 when a is nonzero, 0 otherwise — the branch-free
 // liveness bit the full-block kernels shift into their mask.
 func nzBit(a uint64) uint64 {
@@ -367,7 +346,7 @@ func (ix *Index) assignBlock1Full(acc *[BlockRecords]uint64, rows []float64, lab
 	p := 0
 	for r := 0; r < BlockRecords; r++ {
 		f := fineF * (rows[p] - lo) / width
-		a := bt[ub[binUnit(f, ub)]]
+		a := bt[ub[grid.ClampUnit(f, ub)]]
 		acc[r] = a
 		alive += int(nzBit(a) >> 63)
 		p += d
@@ -384,7 +363,7 @@ func (ix *Index) assignBlock1Full(acc *[BlockRecords]uint64, rows []float64, lab
 			p := di
 			for r := 0; r < BlockRecords; r++ {
 				f := fineF * (rows[p] - lo) / width
-				a := acc[r] & bt[ub[binUnit(f, ub)]]
+				a := acc[r] & bt[ub[grid.ClampUnit(f, ub)]]
 				acc[r] = a
 				cnt += int(nzBit(a) >> 63)
 				p += d
@@ -484,7 +463,7 @@ func (ix *Index) assignBlock2Full(scratch []uint64, rows []float64, labels *[Blo
 	p := 0
 	for r := 0; r < BlockRecords; r++ {
 		f := fineF * (rows[p] - lo) / width
-		w := bt[ub[binUnit(f, ub)]]
+		w := bt[ub[grid.ClampUnit(f, ub)]]
 		acc0[r], acc1[r] = w[0], w[1]
 		cnt0 += int(nzBit(w[0]|w[1]) >> 63)
 		p += d
@@ -502,12 +481,12 @@ func (ix *Index) assignBlock2Full(scratch []uint64, rows []float64, labels *[Blo
 			p := di
 			for r := 0; r < BlockRecords; r += 2 {
 				f0 := fineF * (rows[p] - lo) / width
-				w0 := bt[ub[binUnit(f0, ub)]]
+				w0 := bt[ub[grid.ClampUnit(f0, ub)]]
 				a0 := acc0[r] & w0[0]
 				b0 := acc1[r] & w0[1]
 				acc0[r], acc1[r] = a0, b0
 				f1 := fineF * (rows[p+d] - lo) / width
-				w1 := bt[ub[binUnit(f1, ub)]]
+				w1 := bt[ub[grid.ClampUnit(f1, ub)]]
 				a1 := acc0[r+1] & w1[0]
 				b1 := acc1[r+1] & w1[1]
 				acc0[r+1], acc1[r+1] = a1, b1

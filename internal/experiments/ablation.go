@@ -78,8 +78,8 @@ func runAblationCount(o *Options) ([]*tabular.Table, error) {
 			name string
 			s    mafia.CountStrategy
 		}{
-			{"subspace-grouped hash", mafia.CountGrouped},
-			{"direct per-CDU scan", mafia.CountDirect},
+			{"subspace-grouped bitset", mafia.CountGrouped},
+			{"bit-sliced direct", mafia.CountDirect},
 		} {
 			cfg := mafia.Config{Count: c.s}
 			if gridKind == "uniform" {

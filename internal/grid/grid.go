@@ -76,6 +76,32 @@ func (d *Dim) NumBins() int { return len(d.Bins) }
 // use this exact value.
 func (d *Dim) FineUnits() int { return d.fineUnits }
 
+// UnitBin returns the bin owning fine unit u, the table BinOf reads
+// once it has clamped a value to a unit; kernels that restate BinOf's
+// arithmetic build their own lookups from it.
+func (d *Dim) UnitBin(u int) uint8 { return d.unitToBin[u] }
+
+// ClampUnit is BinOf's clamp restated for straight-line kernels: given
+// f = fineUnits*(v-lo)/width, it returns the fine unit BinOf would read
+// for v, as an index into the caller's own unit table lut of fineUnits
+// entries (so the in-range guard doubles as the table's bounds check).
+// int(f) is already the exact unit for every in-domain value including
+// f in (0,1), so only out-of-range results — negative f,
+// f >= fineUnits, and the implementation-defined conversions of NaN
+// and ±Inf — take the fixup, which re-derives the clamp from f itself
+// the way BinOf does (NaN fails f > 0 and lands on unit 0).
+func ClampUnit(f float64, lut []uint16) int {
+	u := int(f)
+	if uint(u) >= uint(len(lut)) {
+		if f > 0 {
+			u = len(lut) - 1
+		} else {
+			u = 0
+		}
+	}
+	return u
+}
+
 // BinOf maps a value to its bin index, clamping out-of-domain values.
 func (d *Dim) BinOf(v float64) uint8 {
 	dom := d.Domain

@@ -1,6 +1,7 @@
 package mafia
 
 import (
+	"math/bits"
 	"sort"
 	"time"
 
@@ -23,8 +24,8 @@ const maxFlatCells = 1 << 26
 // linear cell index via precomputed strides; a bitset answers "is this
 // cell a CDU" and a popcount rank maps hits to CDU indices — no hashing
 // and no allocation anywhere on the per-record path. In map mode (the
-// pre-pipelining implementation, kept as the fallback and as the
-// reference oracle for the property tests) the bin tuple is hashed.
+// pre-pipelining implementation, kept as the fallback for cell spaces
+// past maxFlatCells) the bin tuple is hashed.
 type subspace struct {
 	dims   []uint8
 	stride []int64 // per dim position: Π bins of later positions
@@ -38,11 +39,27 @@ type subspace struct {
 	byKey map[string]int
 }
 
+// blockRecords is the direct kernel's block width: record r of a block
+// owns bit r of every atom mask, so a block is one uint64 wide.
+const blockRecords = 64
+
+// sliceDim is one dimension the direct kernel bins: BinOf's domain
+// transform plus a fine-unit→atom table. An atom is a (dim, bin) pair
+// some CDU uses; every other bin maps to the shared junk slot 0.
+type sliceDim struct {
+	dim              int
+	lo, width, fineF float64
+	unitAtom         []uint16
+}
+
 // counter populates candidate dense units from a stream of records.
 // The grouped strategies organize CDUs by their subspace: one cell (or
-// hash) lookup per (record, subspace) replaces one comparison per
-// (record, CDU), which is the difference between O(d + Σ_s k_s) and
-// O(Ncdu·k) per record.
+// hash) lookup per (record, subspace), O(d + Σ_s k_s) per record. The
+// direct strategy is bit-sliced over blocks of 64 records: each
+// dimension some CDU constrains is binned once per record into a mask
+// per atom, and each CDU adds popcount(AND of its k atom masks) once
+// per block — O(touched dims + Σk/64) per record, with no branch on the
+// data.
 type counter struct {
 	g        *grid.Grid
 	cdus     *unit.Array
@@ -50,6 +67,11 @@ type counter struct {
 	records  int64 // records scanned by this counter
 	strategy CountStrategy
 	subs     []subspace
+
+	// CountDirect: the CDU set compiled once per level
+	slices   []sliceDim // dimensions some CDU constrains, ascending
+	atoms    int        // mask slots: junk slot 0 plus one per atom
+	cduAtoms []uint16   // each CDU's K atom ids, CDU-major like cdus.Dims
 
 	// serial-path scratch
 	scratch countScratch
@@ -60,8 +82,9 @@ type counter struct {
 // cores with no sharing.
 type countScratch struct {
 	counts []int64
-	binRow []uint8 // bin index per data dimension
-	keyBuf []uint8 // bins of one subspace (map mode)
+	binRow []uint8  // bin index per data dimension (grouped)
+	keyBuf []uint8  // bins of one subspace (map mode)
+	masks  []uint64 // one record mask per atom slot (direct)
 }
 
 func newCounter(g *grid.Grid, cdus *unit.Array, strategy CountStrategy) *counter {
@@ -78,15 +101,69 @@ func newCounter(g *grid.Grid, cdus *unit.Array, strategy CountStrategy) *counter
 		counts:   make([]int64, cdus.Len()),
 		strategy: strategy,
 	}
-	c.scratch = countScratch{
-		counts: c.counts,
-		binRow: make([]uint8, len(g.Dims)),
-		keyBuf: make([]uint8, cdus.K),
-	}
-	if strategy == CountGrouped || strategy == CountGroupedMap {
+	if strategy == CountDirect {
+		c.buildSlices()
+	} else {
 		c.buildSubspaces(strategy == CountGroupedMap)
 	}
+	c.scratch = c.newScratch(c.counts)
 	return c
+}
+
+// newScratch allocates one worker's kernel state around counts.
+func (c *counter) newScratch(counts []int64) countScratch {
+	if c.strategy == CountDirect {
+		return countScratch{counts: counts, masks: make([]uint64, c.atoms)}
+	}
+	return countScratch{
+		counts: counts,
+		binRow: make([]uint8, len(c.g.Dims)),
+		keyBuf: make([]uint8, c.cdus.K),
+	}
+}
+
+// buildSlices compiles the CDU set for the direct kernel: the
+// constrained dimensions in ascending order, one atom id per used
+// (dim, bin) pair — numbered dimension-major, so one dimension's masks
+// are adjacent — and each CDU's K atom ids. Fine units map to atoms
+// through the grid's own unit→bin table, so binning is BinOf's exactly.
+func (c *counter) buildSlices() {
+	ids := make([][]uint16, len(c.g.Dims)) // per dim: bin -> atom id, 0 = junk
+	for x, dim := range c.cdus.Dims {
+		if ids[dim] == nil {
+			ids[dim] = make([]uint16, grid.MaxBins+1)
+		}
+		ids[dim][c.cdus.Bins[x]] = 1
+	}
+	next := uint16(1)
+	for dim, id := range ids {
+		if id == nil {
+			continue
+		}
+		for b, used := range id {
+			if used != 0 {
+				id[b] = next
+				next++
+			}
+		}
+		gd := &c.g.Dims[dim]
+		t := sliceDim{
+			dim:      dim,
+			lo:       gd.Domain.Lo,
+			width:    gd.Domain.Width(),
+			fineF:    float64(gd.FineUnits()),
+			unitAtom: make([]uint16, gd.FineUnits()),
+		}
+		for u := range t.unitAtom {
+			t.unitAtom[u] = id[gd.UnitBin(u)]
+		}
+		c.slices = append(c.slices, t)
+	}
+	c.atoms = int(next)
+	c.cduAtoms = make([]uint16, len(c.cdus.Dims))
+	for x, dim := range c.cdus.Dims {
+		c.cduAtoms[x] = ids[dim][c.cdus.Bins[x]]
+	}
 }
 
 // buildSubspaces groups the CDUs by subspace and constructs each
@@ -167,7 +244,7 @@ func (c *counter) buildSubspaces(forceMap bool) {
 }
 
 // addChunkInto counts n row-major records into the scratch's tallies.
-// It is the per-record hot loop of the population phase and performs no
+// It is the hot loop of the population phase and performs no
 // allocation; workers call it concurrently with disjoint scratches.
 func (c *counter) addChunkInto(sc *countScratch, chunk []float64, n int) {
 	d := len(c.g.Dims)
@@ -198,23 +275,41 @@ func (c *counter) addChunkInto(sc *countScratch, chunk []float64, n int) {
 			}
 		}
 	default: // CountDirect
-		k := c.cdus.K
-		for r := 0; r < n; r++ {
-			c.g.BinRow(chunk[r*d:(r+1)*d], sc.binRow)
-			for i := 0; i < c.cdus.Len(); i++ {
-				ud, ub := c.cdus.Unit(i)
-				hit := true
-				for x := 0; x < k; x++ {
-					if sc.binRow[ud[x]] != ub[x] {
-						hit = false
-						break
-					}
-				}
-				if hit {
-					sc.counts[i]++
-				}
-			}
+		for lo := 0; lo < n; lo += blockRecords {
+			b := min(n-lo, blockRecords)
+			c.countBlock(chunk[lo*d:(lo+b)*d], b, sc)
 		}
+	}
+}
+
+// countBlock is the direct kernel over one block of n (1..blockRecords)
+// row-major records. Dimension-major, it bins every constrained
+// dimension of every record and sets the record's bit in the mask of
+// the atom the bin maps to; then each CDU adds the popcount of the AND
+// of its K atom masks. Dimensions no CDU constrains are never binned.
+func (c *counter) countBlock(rows []float64, n int, sc *countScratch) {
+	d := len(c.g.Dims)
+	masks := sc.masks
+	clear(masks)
+	for si := range c.slices {
+		t := &c.slices[si]
+		lo, width, fineF, ua := t.lo, t.width, t.fineF, t.unitAtom
+		bit := uint64(1)
+		for p := t.dim; p < n*d; p += d {
+			f := fineF * (rows[p] - lo) / width
+			masks[ua[grid.ClampUnit(f, ua)]] |= bit
+			bit <<= 1
+		}
+	}
+	k := c.cdus.K
+	ids := c.cduAtoms
+	for i := range sc.counts {
+		a := ids[i*k : (i+1)*k]
+		m := masks[a[0]]
+		for _, id := range a[1:] {
+			m &= masks[id]
+		}
+		sc.counts[i] += int64(bits.OnesCount64(m))
 	}
 }
 
@@ -239,8 +334,9 @@ func (c *counter) addSource(src dataset.Source, chunkRecords int) error {
 }
 
 // addSourceParallel counts every record of src with an intra-rank
-// worker pool: chunks are sharded across workers tallying into private
-// count arrays, merged into c.counts once the scan ends. The merged
+// worker pool: chunks are sharded across workers on block boundaries,
+// so no direct-kernel block is split, each worker tallying into a
+// private count array merged into c.counts once the scan ends. The merged
 // tallies equal addSource's exactly (int64 sums commute). Returns the
 // wall-clock time of the merge.
 func (c *counter) addSourceParallel(src dataset.Source, chunkRecords, workers int) (mergeSeconds float64, err error) {
@@ -250,13 +346,9 @@ func (c *counter) addSourceParallel(src dataset.Source, chunkRecords, workers in
 	d := len(c.g.Dims)
 	scratches := make([]countScratch, workers)
 	for w := range scratches {
-		scratches[w] = countScratch{
-			counts: make([]int64, c.cdus.Len()),
-			binRow: make([]uint8, d),
-			keyBuf: make([]uint8, c.cdus.K),
-		}
+		scratches[w] = c.newScratch(make([]int64, c.cdus.Len()))
 	}
-	n, err := pool.Scan(src, chunkRecords, workers, func(w int, chunk []float64, lo, hi int) {
+	n, err := pool.ScanOffsetAligned(src, chunkRecords, workers, blockRecords, func(w int, chunk []float64, _ int64, lo, hi int) {
 		c.addChunkInto(&scratches[w], chunk[lo*d:hi*d], hi-lo)
 	})
 	if err != nil {

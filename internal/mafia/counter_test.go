@@ -1,6 +1,7 @@
 package mafia
 
 import (
+	"math"
 	"sort"
 	"testing"
 
@@ -14,7 +15,7 @@ import (
 
 // testGrid builds a uniform grid with xi bins over d dimensions plus a
 // matrix of n random records in [0, 1) per dimension.
-func testGrid(t *testing.T, r *rng.Source, n, d, xi int) (*grid.Grid, *dataset.Matrix) {
+func testGrid(t testing.TB, r *rng.Source, n, d, xi int) (*grid.Grid, *dataset.Matrix) {
 	t.Helper()
 	domains := make([]dataset.Range, d)
 	for i := range domains {
@@ -44,12 +45,20 @@ func testGrid(t *testing.T, r *rng.Source, n, d, xi int) (*grid.Grid, *dataset.M
 // population pass) — with duplicates present the kernels legitimately
 // differ on which copy the population is attributed to.
 func randCDUs(r *rng.Source, g *grid.Grid, k, count int) *unit.Array {
-	d := len(g.Dims)
+	return randCDUsIn(r, g, r.Perm(len(g.Dims)), k, count)
+}
+
+// randCDUsIn is randCDUs with every CDU's dimensions drawn from
+// allowed, so the dimensions outside it stay untouched.
+func randCDUsIn(r *rng.Source, g *grid.Grid, allowed []int, k, count int) *unit.Array {
 	cdus := unit.New(k, count)
 	dims := make([]uint8, k)
 	bins := make([]uint8, k)
 	for i := 0; i < count; i++ {
-		perm := r.Perm(d)[:k]
+		perm := r.Perm(len(allowed))[:k]
+		for x := range perm {
+			perm[x] = allowed[perm[x]]
+		}
 		sort.Ints(perm)
 		for x := 0; x < k; x++ {
 			dims[x] = uint8(perm[x])
@@ -60,38 +69,140 @@ func randCDUs(r *rng.Source, g *grid.Grid, k, count int) *unit.Array {
 	return gen.CompactUnique(cdus, gen.MarkRepeats(cdus, 0, cdus.Len()))
 }
 
-// TestCountKernelsAgree is the population-kernel property test: for
-// random grids, CDU sets, worker counts, and chunk sizes, the
-// flat/bitset grouped kernel, the hash-map grouped kernel (the
-// pre-pipelining reference), and the direct scan must produce identical
-// counts.
+// oracleCounts is the scalar population scan every kernel is checked
+// against: bin each record with BinRow, then compare its bins with
+// every CDU's, one CDU and one dimension at a time.
+func oracleCounts(g *grid.Grid, cdus *unit.Array, m *dataset.Matrix) []int64 {
+	counts := make([]int64, cdus.Len())
+	row := make([]uint8, len(g.Dims))
+	for r := 0; r < m.NumRecords(); r++ {
+		g.BinRow(m.Row(r), row)
+		for i := range counts {
+			ud, ub := cdus.Unit(i)
+			hit := true
+			for x := range ud {
+				if row[ud[x]] != ub[x] {
+					hit = false
+					break
+				}
+			}
+			if hit {
+				counts[i]++
+			}
+		}
+	}
+	return counts
+}
+
+// randTiledGrid builds a d-dimensional grid whose dimensions have random
+// domains, fine-unit counts and bin widths (a random tiling of the fine
+// units), the shapes adaptive grids produce.
+func randTiledGrid(t *testing.T, r *rng.Source, d int) *grid.Grid {
+	t.Helper()
+	specs := make([]grid.DimSpec, d)
+	for i := range specs {
+		fu := 1 + r.Intn(60)
+		lo := r.In(-50, 50)
+		dom := dataset.Range{Lo: lo, Hi: lo + r.In(0.5, 100)}
+		s := grid.DimSpec{Index: i, Domain: dom, FineUnits: fu}
+		unitW := dom.Width() / float64(fu)
+		for u := 0; u < fu; {
+			hi := min(u+1+r.Intn(8), fu)
+			s.Bins = append(s.Bins, grid.Bin{
+				Bounds: dataset.Range{Lo: dom.Lo + float64(u)*unitW, Hi: dom.Lo + float64(hi)*unitW},
+				UnitLo: u, UnitHi: hi,
+			})
+			u = hi
+		}
+		specs[i] = s
+	}
+	g, err := grid.FromBins(specs, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return g
+}
+
+// edgeValue draws a value for dimension gd that stresses BinOf's
+// arithmetic: NaN, ±Inf, values outside the domain, the domain ends,
+// values exactly on (and one ULP beside) bin bounds and fine-unit
+// boundaries, or a plain in-domain value.
+func edgeValue(r *rng.Source, gd *grid.Dim) float64 {
+	dom := gd.Domain
+	b := gd.Bins[r.Intn(gd.NumBins())]
+	edge := dom.Lo + float64(r.Intn(gd.FineUnits()+1))*dom.Width()/float64(gd.FineUnits())
+	switch r.Intn(12) {
+	case 0:
+		return math.NaN()
+	case 1:
+		return math.Inf(1)
+	case 2:
+		return math.Inf(-1)
+	case 3:
+		return dom.Lo - r.In(0, 2)*dom.Width()
+	case 4:
+		return dom.Hi + r.In(0, 2)*dom.Width()
+	case 5:
+		return dom.Hi
+	case 6:
+		return dom.Lo
+	case 7:
+		return b.Bounds.Lo
+	case 8:
+		return b.Bounds.Hi
+	case 9:
+		return edge
+	case 10:
+		return math.Nextafter(edge, math.Inf(2*r.Intn(2)-1))
+	default:
+		return r.In(dom.Lo, dom.Hi)
+	}
+}
+
+// edgeMatrix draws n records over g, every value an edgeValue.
+func edgeMatrix(r *rng.Source, g *grid.Grid, n int) *dataset.Matrix {
+	m := dataset.NewMatrix(n, len(g.Dims))
+	for i := 0; i < n; i++ {
+		row := m.Row(i)
+		for j := range row {
+			row[j] = edgeValue(r, &g.Dims[j])
+		}
+	}
+	return m
+}
+
+// TestCountKernelsAgree is the population-kernel property test: on
+// random variable-width grids and records full of NaN, ±Inf,
+// out-of-domain and on-bound values, every kernel must reproduce the
+// scalar oracle's counts for k from 1 to d, with CDU sets that leave
+// dimensions untouched, chunk sizes that leave partial 64-record blocks,
+// and 1 or 3 workers.
 func TestCountKernelsAgree(t *testing.T) {
 	r := rng.New(11)
-	for trial := 0; trial < 10; trial++ {
-		n := 100 + r.Intn(900)
-		d := 3 + r.Intn(5)
-		k := 2 + r.Intn(d-1)
-		if k > 4 {
-			k = 4
+	for trial := 0; trial < 8; trial++ {
+		d := 2 + r.Intn(5)
+		g := randTiledGrid(t, r.Split(), d)
+		m := edgeMatrix(r.Split(), g, 300+r.Intn(200))
+		allowed := r.Perm(d)
+		if trial%2 == 1 { // odd trials leave at least one dimension untouched
+			allowed = allowed[:1+r.Intn(d-1)]
 		}
-		g, m := testGrid(t, r.Split(), n, d, 4+r.Intn(12))
-		cdus := randCDUs(r.Split(), g, k, 1+r.Intn(120))
-		chunk := 1 + r.Intn(300)
-
-		want, err := PopulateCounts(g, cdus, m, chunk, 1, CountGroupedMap)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, strategy := range []CountStrategy{CountGrouped, CountDirect} {
-			for _, workers := range []int{1, 3} {
-				got, err := PopulateCounts(g, cdus, m, chunk, workers, strategy)
-				if err != nil {
-					t.Fatal(err)
-				}
-				for i := range want {
-					if got[i] != want[i] {
-						t.Fatalf("trial %d strategy=%v workers=%d: counts[%d] = %d, oracle %d",
-							trial, strategy, workers, i, got[i], want[i])
+		for k := 1; k <= len(allowed); k++ {
+			cdus := randCDUsIn(r.Split(), g, allowed, k, 1+r.Intn(150))
+			want := oracleCounts(g, cdus, m)
+			for _, strategy := range []CountStrategy{CountDirect, CountGrouped, CountGroupedMap} {
+				for _, chunk := range []int{1, 63, 65, 300} {
+					for _, workers := range []int{1, 3} {
+						got, err := PopulateCounts(g, cdus, m, chunk, workers, strategy)
+						if err != nil {
+							t.Fatal(err)
+						}
+						for i := range want {
+							if got[i] != want[i] {
+								t.Fatalf("trial %d k=%d strategy=%v chunk=%d workers=%d: counts[%d] = %d, oracle %d",
+									trial, k, strategy, chunk, workers, i, got[i], want[i])
+							}
+						}
 					}
 				}
 			}
@@ -181,6 +292,72 @@ func TestCountGroupedDuplicateAttribution(t *testing.T) {
 	for i := range want {
 		if got[i] != want[i] {
 			t.Fatalf("counts[%d]: flat=%d oracle=%d", i, got[i], want[i])
+		}
+	}
+}
+
+// BenchmarkPopulateKernels times the direct and grouped kernels on one
+// worker over 50 k uniform records on a 16-d, 10-bin grid, for the two
+// CDU-set shapes that bracket autoCountThreshold:
+//   - deep: 140 CDUs of k=4 in 70 subspaces, 1 to 3 CDUs per
+//     subspace — the shape of a fit_deep level, where the direct
+//     kernel's per-record cost (16 binnings) beats the grouped kernel's
+//     per-subspace cell lookups;
+//   - dense: every cell of 20 three-dimensional subspaces, 20 000 CDUs,
+//     where the direct kernel's per-block AND over every CDU loses to
+//     one cell lookup per subspace.
+func BenchmarkPopulateKernels(b *testing.B) {
+	const n, d, xi = 50000, 16, 10
+	r := rng.New(3)
+	g, m := testGrid(b, r.Split(), n, d, xi)
+
+	deep := unit.New(4, 140)
+	for deep.Len() < 140 {
+		dims := r.Perm(d)[:4]
+		sort.Ints(dims)
+		for c := 1 + r.Intn(3); c > 0 && deep.Len() < 140; c-- {
+			ud, ub := make([]uint8, 4), make([]uint8, 4)
+			for x, dim := range dims {
+				ud[x], ub[x] = uint8(dim), uint8(r.Intn(xi))
+			}
+			deep.AppendRaw(ud, ub)
+		}
+	}
+	deep = gen.CompactUnique(deep, gen.MarkRepeats(deep, 0, deep.Len()))
+
+	dense := unit.New(3, 20*xi*xi*xi)
+	seen := map[[3]int]bool{}
+	for len(seen) < 20 {
+		p := r.Perm(d)[:3]
+		sort.Ints(p)
+		sub := [3]int{p[0], p[1], p[2]}
+		if seen[sub] {
+			continue
+		}
+		seen[sub] = true
+		for cell := 0; cell < xi*xi*xi; cell++ {
+			dense.AppendRaw(
+				[]uint8{uint8(sub[0]), uint8(sub[1]), uint8(sub[2])},
+				[]uint8{uint8(cell / (xi * xi)), uint8(cell / xi % xi), uint8(cell % xi)})
+		}
+	}
+
+	for _, set := range []struct {
+		name string
+		cdus *unit.Array
+	}{{"deep", deep}, {"dense", dense}} {
+		for _, k := range []struct {
+			name     string
+			strategy CountStrategy
+		}{{"direct", CountDirect}, {"grouped", CountGrouped}} {
+			b.Run(set.name+"/"+k.name, func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					if _, err := PopulateCounts(g, set.cdus, m, 8192, 1, k.strategy); err != nil {
+						b.Fatal(err)
+					}
+				}
+				b.ReportMetric(float64(set.cdus.Len()), "cdus")
+			})
 		}
 	}
 }

@@ -74,6 +74,12 @@ echo "== serving gate (daemon concurrency/leak + assign differential)"
 go test -race -count=1 -run 'TestConcurrentAssignAndScrape' ./internal/daemon
 go test -race -count=1 -run 'TestPropertyMatchesOracle|TestFittedModelMatchesEngineAssign' ./internal/assign
 
+# The fit path's population kernels (bit-sliced direct, grouped bitset,
+# grouped map) must agree count for count with the scalar per-record
+# oracle on edge-case records, partial blocks, and sharded workers.
+echo "== population-kernel differential gate (kernels vs scalar oracle)"
+go test -race -count=1 -run 'TestCountKernelsAgree' ./internal/mafia
+
 # Load smoke: a sub-second burst of sustained /assign traffic against
 # an in-process daemon, checking QPS, error-free serving, and that the
 # server's histogram percentiles agree with the client's measurement.
@@ -97,10 +103,11 @@ echo "== recovery gate (crash resume + torn-checkpoint fallback)"
 go test -race -count=1 -run 'TestResumeDeterminismMatrix|TestTornCheckpointFallsBack' ./internal/supervisor
 
 if [ "$smoke" = 1 ]; then
-    echo "== fuzz smoke (FuzzOpen + FuzzDecode + FuzzAssignFrame, 10s each)"
+    echo "== fuzz smoke (FuzzOpen + FuzzDecode + FuzzAssignFrame + FuzzPopulateKernels, 10s each)"
     go test -run '^$' -fuzz '^FuzzOpen$' -fuzztime 10s ./internal/diskio
     go test -run '^$' -fuzz '^FuzzDecode$' -fuzztime 10s ./internal/ckpt
     go test -run '^$' -fuzz '^FuzzAssignFrame$' -fuzztime 10s ./internal/daemon
+    go test -run '^$' -fuzz '^FuzzPopulateKernels$' -fuzztime 10s ./internal/mafia
 
     smokejson="${TMPDIR:-/tmp}/pmafia-bench-smoke.json"
     echo "== bench smoke (cmd/bench -smoke)"
