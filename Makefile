@@ -1,4 +1,4 @@
-.PHONY: build test check faults recover bench bench-compare
+.PHONY: build test check faults recover
 
 build:
 	go build ./...
@@ -6,9 +6,10 @@ build:
 test:
 	go test ./...
 
-# Extended tier-1 gate: vet + gofmt + full suite under -race + fuzz
-# smoke on the diskio header parser + bench smoke and its regression
-# gate against the committed baseline.
+# Extended tier-1 gate: vet + gofmt + staticcheck + full suite under
+# -race + fuzz smoke on the untrusted-input decoders + the self-test of
+# the repository benchmark (perfbench/; run the benchmark itself with
+# perfbench/run.sh, see perfbench/README.md).
 check:
 	sh scripts/check.sh -smoke
 
@@ -26,16 +27,3 @@ faults:
 recover:
 	go test -race -count=1 ./internal/supervisor
 	go test -race -count=1 -run 'Manager|Resume|Exit' ./internal/ckpt ./cmd/pmafia
-
-# Tracked benchmark suite: refreshes BENCH_pr8.json with records/sec
-# per phase (histogram, populate, full run, assignment) at p in
-# {1,2,4,8}, plus the serving load run (QPS + latency percentiles).
-bench:
-	sh scripts/bench.sh
-
-# Bench-regression gate on its own: run the smoke suite and diff it
-# against the committed baseline. The tolerance is generous because
-# the matched cells (p<=2) were measured on a quiet machine.
-bench-compare:
-	go run ./cmd/bench -smoke -out "$${TMPDIR:-/tmp}/pmafia-bench-smoke.json"
-	go run ./cmd/bench -compare BENCH_pr8.json "$${TMPDIR:-/tmp}/pmafia-bench-smoke.json" -tolerance 0.9

@@ -55,8 +55,6 @@ func main() {
 	flag.IntVar(&cfg.Chunk, "chunk", 8192, "records per assignment batch")
 	flag.IntVar(&cfg.Workers, "workers", 1, "goroutines fanning out each assignment request")
 	flag.Int64Var(&cfg.MaxBody, "max-body", 1<<30, "request body cap in bytes")
-	flag.DurationVar(&cfg.CoalesceWindow, "coalesce", 0, "flush window for coalescing small framed /assign requests (0 disables)")
-	flag.IntVar(&cfg.CoalesceMax, "coalesce-max", 512, "largest framed request (records) eligible for coalescing")
 	flag.DurationVar(&cfg.SwapCheck, "swap-check", time.Second, "min interval between on-disk freshness checks of a served model (negative disables hot swap)")
 	flag.StringVar(&cfg.IngestModel, "ingest-model", "", "model file name (inside -models) maintained by POST /ingest (empty disables streaming ingest)")
 	flag.IntVar(&cfg.IngestDims, "ingest-dims", 0, "dimensionality of the ingest stream (required with -ingest-model)")

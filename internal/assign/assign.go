@@ -21,8 +21,9 @@
 // a bin's bitset row and the boxCluster table are touched once per
 // block while they are hot instead of re-sliced once per record; a
 // per-block liveness word keeps the scalar path's early exit at
-// per-record granularity. AssignRecord remains the scalar bit-identity
-// oracle the kernels are property-tested against.
+// per-record granularity. The package tests keep a scalar
+// per-record labeler as the bit-identity oracle the kernels are
+// property-tested against.
 package assign
 
 import (
@@ -182,7 +183,7 @@ func (ix *Index) Boxes() int { return len(ix.boxCluster) }
 // per-block liveness mask is one uint64, so the width is fixed at 64.
 const BlockRecords = 64
 
-// Scratch allocates a working buffer for AssignRecord/AssignChunk:
+// Scratch allocates a working buffer for AssignChunk:
 // one bitset accumulator per record of a full block (BlockRecords ×
 // words). Concurrent callers need one buffer each — AssignSource
 // allocates one per worker, so worker blocks can never alias.
@@ -221,35 +222,6 @@ func nzBit(a uint64) uint64 {
 	return (a | -a) & (1 << 63)
 }
 
-// assign labels one record; and must have ix.words entries.
-func (ix *Index) assign(rec []float64, and []uint64) int32 {
-	if ix.words == 0 {
-		return -1
-	}
-	t := &ix.dims[0]
-	b := t.bin(rec[0])
-	copy(and, t.bits[b*ix.words:(b+1)*ix.words])
-	for di := 1; di < len(ix.dims); di++ {
-		t := &ix.dims[di]
-		b := t.bin(rec[di])
-		row := t.bits[b*ix.words : (b+1)*ix.words]
-		nz := uint64(0)
-		for w := range and {
-			and[w] &= row[w]
-			nz |= and[w]
-		}
-		if nz == 0 {
-			return -1
-		}
-	}
-	for w, word := range and {
-		if word != 0 {
-			return ix.boxCluster[w*64+bits.TrailingZeros64(word)]
-		}
-	}
-	return -1
-}
-
 // assignBlock labels n (1..BlockRecords) records stored row-major in
 // rows, writing labels[0:n]. scratch must have at least n*words
 // entries. The kernel is dimension-major: each dimension's table is
@@ -257,7 +229,8 @@ func (ix *Index) assign(rec []float64, and []uint64) int32 {
 // word dropping records whose candidate set emptied so they cost
 // nothing on later dimensions — the per-record early exit of the
 // scalar path, at block granularity. Label order, clamping, and
-// tie-breaking are bit-identical to assign.
+// tie-breaking are bit-identical to the scalar per-record oracle in
+// the package tests.
 func (ix *Index) assignBlock(rows []float64, n int, labels []int32, scratch []uint64) {
 	if ix.words == 0 {
 		for r := 0; r < n; r++ {
@@ -583,18 +556,6 @@ func (ix *Index) assignBlocks(rows []float64, labels []int32, scratch []uint64) 
 		}
 		ix.assignBlock(rows[base*d:], n, labels[base:base+n], scratch)
 	}
-}
-
-// AssignRecord labels one record: the index of the first cluster
-// containing it, or -1 for an outlier. scratch comes from Scratch.
-func (ix *Index) AssignRecord(rec []float64, scratch []uint64) (int32, error) {
-	if len(rec) != len(ix.dims) {
-		return 0, fmt.Errorf("assign: %d-dim record, index labels %d dims", len(rec), len(ix.dims))
-	}
-	if len(scratch) < ix.words {
-		return 0, fmt.Errorf("assign: scratch has %d words, index needs %d", len(scratch), ix.words)
-	}
-	return ix.assign(rec, scratch[:ix.words]), nil
 }
 
 // AssignChunk labels len(labels) records stored row-major in chunk

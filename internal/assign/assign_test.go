@@ -343,8 +343,21 @@ func TestBatchKernelPropertySweep(t *testing.T) {
 	// Cluster counts are chosen so total boxes (1–2 per cluster) sweep
 	// the word count: ~0, <64, ~64–128, and well past 128 boxes.
 	clusterCounts := []int{0, 2, 9, 45, 130}
-	for trial := 0; trial < 15; trial++ {
+	const randomTrials = 15
+	// Two fixed shapes follow the random trials: d=64, where the
+	// per-record bin work dominates, and 512 clusters of two boxes
+	// each, whose 1024-box bitset spans 16 words (the record-major
+	// N-word kernel). Their clusters constrain exactly three dims, so
+	// records still land inside them.
+	shapes := []struct{ d, clusters int }{{64, 48}, {10, 512}}
+	for trial := 0; trial < randomTrials+len(shapes); trial++ {
 		d := 1 + r.Intn(8)
+		ncl := clusterCounts[trial%len(clusterCounts)]
+		fixedK, fixedBoxes := 0, 0
+		if trial >= randomTrials {
+			shape := shapes[trial-randomTrials]
+			d, ncl, fixedK, fixedBoxes = shape.d, shape.clusters, 3, 2
+		}
 		domains := make([]dataset.Range, d)
 		for i := range domains {
 			lo := r.In(-100, 100)
@@ -353,10 +366,12 @@ func TestBatchKernelPropertySweep(t *testing.T) {
 		xi := 2 + r.Intn(30)
 		g := uniformGrid(t, domains, xi)
 
-		ncl := clusterCounts[trial%len(clusterCounts)]
 		cs := make([]cluster.Cluster, 0, ncl)
 		for ci := 0; ci < ncl; ci++ {
 			k := 1 + r.Intn(d)
+			if fixedK > 0 {
+				k = fixedK
+			}
 			dims := make([]uint8, 0, k)
 			for _, di := range r.Perm(d)[:k] {
 				dims = append(dims, uint8(di))
@@ -367,6 +382,9 @@ func TestBatchKernelPropertySweep(t *testing.T) {
 				}
 			}
 			nb := 1 + r.Intn(2)
+			if fixedBoxes > 0 {
+				nb = fixedBoxes
+			}
 			boxes := make([]cluster.Box, 0, nb)
 			for bi := 0; bi < nb; bi++ {
 				lo := make([]uint8, k)
@@ -383,6 +401,9 @@ func TestBatchKernelPropertySweep(t *testing.T) {
 			cs = append(cs, cluster.Cluster{Dims: dims, Boxes: boxes})
 		}
 		ix := mustIndex(t, g, cs)
+		if fixedBoxes > 0 && ix.Boxes() != fixedBoxes*ncl {
+			t.Fatalf("trial %d: %d boxes, want %d", trial, ix.Boxes(), fixedBoxes*ncl)
+		}
 
 		hostile := func(i int) float64 {
 			dom := domains[i]

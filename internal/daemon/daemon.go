@@ -14,10 +14,9 @@
 //	     answered with little-endian int32 labels — or, with
 //	     Content-Type application/x-pmafia-assign, one framed binary
 //	     request (see frame.go) decoded straight into the batch
-//	     kernel and answered with little-endian int32 labels. Small
-//	     framed requests are coalesced into shared kernel batches
-//	     when Config.CoalesceWindow is set. A label is the cluster
-//	     index in the model's cluster list, -1 for outliers.
+//	     kernel and answered with little-endian int32 labels. A
+//	     label is the cluster index in the model's cluster list, -1
+//	     for outliers.
 //	POST /ingest?refit=1
 //	     (only with Config.IngestModel) streaming ingest: the body's
 //	     records — CSV, raw float64s, or one PMAS frame — are appended
@@ -116,14 +115,6 @@ type Config struct {
 	SlowN int
 	// Pprof mounts net/http/pprof under /debug/pprof/.
 	Pprof bool
-	// CoalesceWindow, when positive, batches concurrent framed /assign
-	// requests against the same model into shared kernel invocations: a
-	// request waits at most this long for co-riders before its batch
-	// flushes. Zero disables coalescing.
-	CoalesceWindow time.Duration
-	// CoalesceMax is the largest framed request (in records) eligible
-	// for coalescing; bigger bodies go straight to the kernel.
-	CoalesceMax int
 	// TraceSample, when positive, enables serve-side request tracing:
 	// every 1/TraceSample-th request is head-sampled into the trace
 	// ring, and every non-2xx or tail-latency request is retained
@@ -187,9 +178,6 @@ func (c *Config) fill() {
 	if c.SlowN < 1 {
 		c.SlowN = 16
 	}
-	if c.CoalesceMax < 1 {
-		c.CoalesceMax = 512
-	}
 	if c.TraceRing < 1 {
 		c.TraceRing = 64
 	}
@@ -215,7 +203,6 @@ type Daemon struct {
 	cfg Config
 	rec *obs.Recorder
 	sem chan struct{} // bounds in-flight /assign work
-	co  *coalescer    // nil unless CoalesceWindow > 0
 
 	alog     *accessLog
 	slow     *slowRing
@@ -279,9 +266,6 @@ func New(cfg Config) (*Daemon, error) {
 			d.traceStride = 1
 		}
 	}
-	if cfg.CoalesceWindow > 0 {
-		d.co = newCoalescer(d.rec, d.traces, cfg.CoalesceWindow, cfg.Chunk)
-	}
 	if cfg.ProfileDir != "" {
 		d.prof, err = newProfiler(cfg.ProfileDir, cfg.ProfileInterval, cfg.ProfileCPU, cfg.ProfileKeep, d.rec)
 		if err != nil {
@@ -341,10 +325,6 @@ func New(cfg Config) (*Daemon, error) {
 // Addr returns the bound listen address.
 func (d *Daemon) Addr() string { return d.ln.Addr().String() }
 
-// Recorder exposes the daemon's observer — the load harness reads the
-// serving histograms from it directly instead of re-parsing /metrics.
-func (d *Daemon) Recorder() *obs.Recorder { return d.rec }
-
 // Serve runs the server in a background goroutine.
 func (d *Daemon) Serve() {
 	go func() {
@@ -355,16 +335,12 @@ func (d *Daemon) Serve() {
 
 // Shutdown drains the daemon gracefully: /readyz flips to 503 first
 // (a fronting load balancer sees the node as gone while in-flight
-// requests finish), pending coalesce batches flush so no waiter is
-// abandoned holding the server open, then the listener closes,
-// in-flight requests drain, background swap checks and any in-flight
-// refit finish, the serve goroutine exits, and the access log is
+// requests finish), then the listener closes, in-flight requests
+// drain, background swap checks and any in-flight refit finish, the
+// serve goroutine exits, the profiler stops, and the access log is
 // flushed.
 func (d *Daemon) Shutdown(ctx context.Context) error {
 	d.draining.Store(true)
-	if d.co != nil {
-		d.co.drain()
-	}
 	err := d.srv.Shutdown(ctx)
 	<-d.done
 	d.swaps.Wait()
@@ -625,35 +601,17 @@ func (d *Daemon) assign(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, err.Error(), code)
 		return
 	}
-	assignStart := time.Now()
-	var labels []int32
-	coalesced := false
 	if frameIn {
 		d.rec.Add(0, obs.CtrAssignFrames, 1)
-		records := len(frameVals) / cx.ix.Dims()
-		if d.co != nil && records <= d.cfg.CoalesceMax {
-			// submit records the coalesce-wait and kernel stages itself —
-			// the kernel window is shared with the batch's co-riders.
-			coalesced = true
-			labels, err = d.co.submit(r.Context(), cx, frameVals)
-		} else {
-			labels, err = cx.ix.AssignSource(
-				&dataset.Matrix{D: cx.ix.Dims(), Values: frameVals},
-				d.cfg.Chunk, d.cfg.Workers)
-		}
-	} else {
-		labels, err = cx.ix.AssignSource(src, d.cfg.Chunk, d.cfg.Workers)
+		src = &dataset.Matrix{D: cx.ix.Dims(), Values: frameVals}
 	}
-	st.assignSeconds = time.Since(assignStart).Seconds()
-	if !coalesced {
-		st.stage("kernel", assignStart, time.Now())
-	}
+	assignStart := time.Now()
+	labels, err := cx.ix.AssignSource(src, d.cfg.Chunk, d.cfg.Workers)
+	assignEnd := time.Now()
+	st.assignSeconds = assignEnd.Sub(assignStart).Seconds()
+	st.stage("kernel", assignStart, assignEnd)
 	if err != nil {
-		if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
-			// Client gave up while coalesced; nothing useful to write.
-			return
-		}
-		// The only other assignment failure on an in-memory source is a
+		// The only assignment failure on an in-memory source is a
 		// dimensionality mismatch — a client error.
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return

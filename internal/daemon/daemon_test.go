@@ -460,13 +460,13 @@ func TestMetricsHistograms(t *testing.T) {
 		}
 	}
 	// The merged snapshot the load harness reads agrees with /metrics.
-	h := d.Recorder().Histogram(obs.HistRouteSeconds("assign"))
+	h := d.rec.Histogram(obs.HistRouteSeconds("assign"))
 	if h == nil || h.Count() != 4 {
 		t.Errorf("Recorder histogram count = %v, want 4", h.Count())
 	}
 	// The missing-model request reached /assign's model label too: the
 	// model histograms only count successful assigns (records > 0).
-	if rh := d.Recorder().Histogram(obs.HistModelRecords("a.pmfm")); rh == nil || rh.Count() != 3 {
+	if rh := d.rec.Histogram(obs.HistModelRecords("a.pmfm")); rh == nil || rh.Count() != 3 {
 		t.Error("model records histogram should have exactly the 3 successful batches")
 	}
 }
@@ -596,7 +596,7 @@ func TestAllEmittedMetricsAreRegistered(t *testing.T) {
 	}
 	for deadline := time.Now().Add(10 * time.Second); ; {
 		postAssign(t, base, "a.pmfm", "text/csv", []byte("1,2,3,4,5\n"))
-		if d.Recorder().Counter(obs.CtrSwapSwaps) >= 1 {
+		if d.rec.Counter(obs.CtrSwapSwaps) >= 1 {
 			break
 		}
 		if time.Now().After(deadline) {
@@ -607,7 +607,7 @@ func TestAllEmittedMetricsAreRegistered(t *testing.T) {
 	// Let the profiler finish at least one capture cycle so the
 	// profile.* counters are emitted too.
 	for deadline := time.Now().Add(10 * time.Second); ; {
-		met := d.Recorder().Metrics()
+		met := d.rec.Metrics()
 		if met.Counters[obs.CtrProfileCPU] >= 1 && met.Counters[obs.CtrProfileHeap] >= 1 {
 			break
 		}
@@ -625,18 +625,18 @@ func TestAllEmittedMetricsAreRegistered(t *testing.T) {
 		resp.Body.Close()
 	}
 
-	met := d.Recorder().Metrics()
+	met := d.rec.Metrics()
 	for name := range met.Counters {
 		if !obs.IsRegistered(name) {
 			t.Errorf("daemon emitted unregistered counter %q", name)
 		}
 	}
-	for name := range d.Recorder().Histograms() {
+	for name := range d.rec.Histograms() {
 		if !obs.IsRegisteredHistogram(name) {
 			t.Errorf("daemon emitted unregistered histogram %q", name)
 		}
 	}
-	for name := range d.Recorder().Gauges() {
+	for name := range d.rec.Gauges() {
 		if !obs.IsRegisteredGauge(name) {
 			t.Errorf("daemon emitted unregistered gauge %q", name)
 		}

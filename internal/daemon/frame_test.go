@@ -48,7 +48,7 @@ func TestAssignFrameMatchesOracle(t *testing.T) {
 			t.Fatalf("record %d: daemon %d, oracle %d", i, got, want[i])
 		}
 	}
-	if d.Recorder().Counter(obs.CtrAssignFrames) == 0 {
+	if d.rec.Counter(obs.CtrAssignFrames) == 0 {
 		t.Error("assign.frames counter did not move")
 	}
 }

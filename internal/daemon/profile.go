@@ -5,9 +5,12 @@ package daemon
 // a heap profile into the directory, pruning old captures so at most
 // ProfileKeep files per kind stay on disk. /debug/profiles serves a
 // JSON index of what is retained; /debug/profiles/{name} serves the
-// raw pprof bytes. Unlike the on-demand /debug/pprof endpoints, this
-// keeps a rolling window of "what was the daemon doing" even for
-// incidents noticed after the fact.
+// raw pprof bytes. A capture is written under a temporary name and
+// renamed into place only once complete, so neither the index, the
+// file endpoint, nor pruning ever sees a partial one. Unlike the
+// on-demand /debug/pprof endpoints, this keeps a rolling window of
+// "what was the daemon doing" even for incidents noticed after the
+// fact.
 
 import (
 	"encoding/json"
@@ -91,44 +94,57 @@ func (p *profiler) name(kind string) string {
 		time.Now().UTC().Format("20060102T150405.000"), p.seq)
 }
 
-func (p *profiler) captureCPU() {
-	f, err := os.Create(filepath.Join(p.dir, p.name("cpu")))
+// capture runs write into a temporary file (a ".tmp" suffix, which
+// neither captures nor profileName matches) and renames it to the
+// capture name once write and close succeed; on failure the temporary
+// file is removed and the error counted.
+func (p *profiler) capture(kind string, write func(f *os.File) error) bool {
+	final := filepath.Join(p.dir, p.name(kind))
+	tmp := final + ".tmp"
+	f, err := os.Create(tmp)
 	if err != nil {
 		p.rec.Add(0, obs.CtrProfileErrors, 1)
-		return
+		return false
 	}
-	// StartCPUProfile fails if another CPU profile is running (e.g. a
-	// client hitting /debug/pprof/profile); count it and retry next
-	// cycle rather than fight over the profiler.
-	if err := pprof.StartCPUProfile(f); err != nil {
-		f.Close()
-		os.Remove(f.Name())
+	err = write(f)
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = os.Rename(tmp, final)
+	}
+	if err != nil {
+		os.Remove(tmp)
 		p.rec.Add(0, obs.CtrProfileErrors, 1)
-		return
+		return false
 	}
-	select {
-	case <-p.stop:
-	case <-time.After(p.cpuDur):
+	return true
+}
+
+func (p *profiler) captureCPU() {
+	ok := p.capture("cpu", func(f *os.File) error {
+		// StartCPUProfile fails if another CPU profile is running (e.g. a
+		// client hitting /debug/pprof/profile); count it and retry next
+		// cycle rather than fight over the profiler.
+		if err := pprof.StartCPUProfile(f); err != nil {
+			return err
+		}
+		select {
+		case <-p.stop:
+		case <-time.After(p.cpuDur):
+		}
+		pprof.StopCPUProfile()
+		return nil
+	})
+	if ok {
+		p.rec.Add(0, obs.CtrProfileCPU, 1)
 	}
-	pprof.StopCPUProfile()
-	f.Close()
-	p.rec.Add(0, obs.CtrProfileCPU, 1)
 }
 
 func (p *profiler) captureHeap() {
-	f, err := os.Create(filepath.Join(p.dir, p.name("heap")))
-	if err != nil {
-		p.rec.Add(0, obs.CtrProfileErrors, 1)
-		return
+	if p.capture("heap", func(f *os.File) error { return pprof.Lookup("heap").WriteTo(f, 0) }) {
+		p.rec.Add(0, obs.CtrProfileHeap, 1)
 	}
-	err = pprof.Lookup("heap").WriteTo(f, 0)
-	f.Close()
-	if err != nil {
-		os.Remove(f.Name())
-		p.rec.Add(0, obs.CtrProfileErrors, 1)
-		return
-	}
-	p.rec.Add(0, obs.CtrProfileHeap, 1)
 }
 
 // prune bounds the on-disk retention: for each kind, only the keep

@@ -4,6 +4,8 @@ import (
 	"context"
 	"encoding/json"
 	"net/http"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -63,9 +65,7 @@ func TestContinuousProfiling(t *testing.T) {
 		t.Error("three cycles with keep=2 never pruned")
 	}
 
-	// A heap capture round-trips through the file endpoint. (CPU
-	// captures may still be in progress; heap files are complete the
-	// moment they are indexed.)
+	// A heap capture round-trips through the file endpoint.
 	var heapName string
 	for _, info := range index {
 		if info.Kind == "heap" {
@@ -97,6 +97,69 @@ func TestContinuousProfiling(t *testing.T) {
 	}
 	if waited := time.Since(start); waited > 5*time.Second {
 		t.Errorf("shutdown blocked %.1fs on the profiler", waited.Seconds())
+	}
+}
+
+// TestProfilesListOnlyCompleteCaptures: a capture still being written
+// must not be published. With a long CPU capture in progress, the
+// /debug/profiles index lists nothing; once Shutdown cuts the capture
+// short it lands complete under its capture name, with no temporary
+// file left behind.
+func TestProfilesListOnlyCompleteCaptures(t *testing.T) {
+	prof := t.TempDir()
+	d, base := startDaemon(t, Config{
+		ModelDir:        t.TempDir(),
+		ProfileDir:      prof,
+		ProfileInterval: 10 * time.Millisecond,
+		ProfileCPU:      10 * time.Second,
+	})
+	defer d.Shutdown(context.Background())
+
+	// Wait until the first CPU capture has started writing.
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		ents, err := os.ReadDir(prof)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(ents) > 0 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("no capture started")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	var index []profileInfo
+	_, raw := get(t, base+"/debug/profiles")
+	if err := json.Unmarshal(raw, &index); err != nil {
+		t.Fatalf("/debug/profiles is not valid JSON: %v", err)
+	}
+	if n := d.rec.Counter(obs.CtrProfileCPU); n != 0 {
+		t.Fatalf("%d CPU captures finished before the index was read; the test needs one in progress", n)
+	}
+	if len(index) != 0 {
+		t.Errorf("index lists %+v while the only capture is still being written", index)
+	}
+
+	if err := d.Shutdown(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	cpu := d.prof.captures("cpu")
+	if len(cpu) != 1 || d.rec.Counter(obs.CtrProfileCPU) != 1 {
+		t.Fatalf("after shutdown: cpu captures %v, counter %d; want one", cpu, d.rec.Counter(obs.CtrProfileCPU))
+	}
+	if fi, err := os.Stat(filepath.Join(prof, cpu[0])); err != nil || fi.Size() == 0 {
+		t.Errorf("published CPU capture %s is empty or missing (err %v)", cpu[0], err)
+	}
+	ents, err := os.ReadDir(prof)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range ents {
+		if !profileName.MatchString(e.Name()) {
+			t.Errorf("%s left in the profile directory", e.Name())
+		}
 	}
 }
 

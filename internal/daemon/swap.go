@@ -28,7 +28,6 @@ import (
 // request touches hangs off this value, so sharing it is safe and
 // swapping it is one pointer store.
 type compiled struct {
-	name  string // base file name, the metric label
 	ix    *assign.Index
 	n     int    // records the model was fitted on
 	gen   uint64 // generation from the .pmfm header
@@ -73,7 +72,6 @@ func compile(path string) (*compiled, error) {
 		return nil, err
 	}
 	return &compiled{
-		name:  filepath.Base(path),
 		ix:    ix,
 		n:     res.N,
 		gen:   meta.Generation,

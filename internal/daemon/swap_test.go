@@ -4,7 +4,6 @@ import (
 	"context"
 	"encoding/binary"
 	"encoding/json"
-	"fmt"
 	"math/rand"
 	"net/http"
 	"os"
@@ -123,7 +122,7 @@ func TestStaleModelReloaded(t *testing.T) {
 		}
 		time.Sleep(2 * time.Millisecond)
 	}
-	if got := d.Recorder().Counter(obs.CtrSwapSwaps); got < 1 {
+	if got := d.rec.Counter(obs.CtrSwapSwaps); got < 1 {
 		t.Errorf("swap.swaps = %d after a hot swap", got)
 	}
 
@@ -170,12 +169,10 @@ func TestSwapUnderLoad(t *testing.T) {
 		t.Fatal(err)
 	}
 	d, base := startDaemon(t, Config{
-		ModelDir:       dir,
-		SwapCheck:      time.Millisecond,
-		Inflight:       16,
-		CoalesceWindow: time.Millisecond,
-		CoalesceMax:    64,
-		Chunk:          128,
+		ModelDir:  dir,
+		SwapCheck: time.Millisecond,
+		Inflight:  16,
+		Chunk:     128,
 	})
 	defer d.Shutdown(context.Background())
 
@@ -264,7 +261,7 @@ func TestSwapUnderLoad(t *testing.T) {
 		t.Fatal(err)
 	}
 	deadline = time.Now().Add(15 * time.Second)
-	for d.Recorder().Counter(obs.CtrSwapErrors) == 0 {
+	for d.rec.Counter(obs.CtrSwapErrors) == 0 {
 		if got := assignLabels(t, base, "m.pmfm", body); !labelsEqual(got, final) {
 			t.Fatal("corrupt overwrite changed the served model")
 		}
@@ -287,87 +284,5 @@ func TestSwapUnderLoad(t *testing.T) {
 			t.Fatal("daemon never recovered from the corrupt overwrite")
 		}
 		time.Sleep(2 * time.Millisecond)
-	}
-}
-
-// TestCoalesceDrainFlushesWaiters pins the shutdown audit: requests
-// parked in a half-full coalesce batch when Shutdown begins must be
-// flushed with correct labels (not abandoned until the window timer or
-// dropped), and shutdown must not wait out the window. Run under -race
-// in make check this is the drain-vs-submit-vs-timer gate.
-func TestCoalesceDrainFlushesWaiters(t *testing.T) {
-	dir := t.TempDir()
-	res, m := fitModel(t, dir, "a.pmfm", 37)
-	want, err := res.Assign(m, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	const window = 30 * time.Second // only the drain can flush in time
-	d, base := startDaemon(t, Config{
-		ModelDir:       dir,
-		Inflight:       32,
-		CoalesceWindow: window,
-		CoalesceMax:    512,
-		Chunk:          1 << 20, // never fills: the threshold flush is out too
-	})
-
-	// Warm the model so the in-flight requests park in the coalescer,
-	// not the loader.
-	postAssign(t, base, "a.pmfm", "text/csv", []byte("1,2,3,4,5\n"))
-
-	const dims = 5
-	const clients = 8
-	var wg sync.WaitGroup
-	errs := make(chan error, clients)
-	for c := 0; c < clients; c++ {
-		wg.Add(1)
-		go func(c int) {
-			defer wg.Done()
-			lo := c * 3
-			n := 2 + c%3
-			body, err := EncodeFrame(dims, m.Values[lo*dims:(lo+n)*dims])
-			if err != nil {
-				errs <- err
-				return
-			}
-			resp, raw := postAssign(t, base, "a.pmfm", ContentTypeFrame, body)
-			if resp.StatusCode != http.StatusOK {
-				errs <- fmt.Errorf("client %d: status %d: %s", c, resp.StatusCode, raw)
-				return
-			}
-			for i := 0; i < n; i++ {
-				if got := int32(binary.LittleEndian.Uint32(raw[4*i:])); got != want[lo+i] {
-					errs <- fmt.Errorf("client %d record %d: got %d, want %d", c, lo+i, got, want[lo+i])
-					return
-				}
-			}
-		}(c)
-	}
-
-	// Wait until every request is parked in the coalescer, then shut
-	// down while the 30s window is still pending.
-	deadline := time.Now().Add(10 * time.Second)
-	for d.Recorder().Counter(obs.CtrAssignCoalesceReqs) < clients {
-		if time.Now().After(deadline) {
-			t.Fatal("requests never reached the coalescer")
-		}
-		time.Sleep(2 * time.Millisecond)
-	}
-	start := time.Now()
-	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-	defer cancel()
-	if err := d.Shutdown(ctx); err != nil {
-		t.Fatalf("shutdown: %v", err)
-	}
-	if elapsed := time.Since(start); elapsed > window/2 {
-		t.Errorf("shutdown took %v: waiters were abandoned to the %v window timer", elapsed, window)
-	}
-	wg.Wait()
-	close(errs)
-	for err := range errs {
-		t.Error(err)
-	}
-	if got := d.Recorder().Counter(obs.CtrAssignCoalesceFlushes); got < 1 {
-		t.Errorf("coalesce.flushes = %d after drain", got)
 	}
 }

@@ -3,10 +3,10 @@ package daemon
 // Serve-side request tracing: the instrument middleware starts one
 // obs.ServeTrace per request when tracing is enabled (Config
 // TraceSample > 0), honoring an inbound W3C traceparent and emitting
-// the daemon's own outbound. Handlers and the coalescer annotate
-// stage spans via reqStats; the middleware offers the finished trace
-// to the ring, which head-samples ordinary requests and always keeps
-// errors and tail-latency outliers. Retained traces serve as Chrome
+// the daemon's own outbound. Handlers annotate stage spans via
+// reqStats; the middleware offers the finished trace to the ring,
+// which head-samples ordinary requests and always keeps errors and
+// tail-latency outliers. Retained traces serve as Chrome
 // trace_event JSON at /debug/trace (and /debug/trace/{id}) and as
 // OpenMetrics exemplars on the latency histograms.
 

@@ -36,10 +36,8 @@ const (
 	CtrAssignBatches   = "assign.batches"
 	CtrAssignCacheHit  = "assign.cache.hit"
 	CtrAssignCacheMiss = "assign.cache.miss"
-	// pmafiad: the framed binary protocol and its request coalescer.
-	CtrAssignFrames          = "assign.frames"
-	CtrAssignCoalesceReqs    = "assign.coalesce.requests"
-	CtrAssignCoalesceFlushes = "assign.coalesce.flushes"
+	// pmafiad: the framed binary protocol.
+	CtrAssignFrames = "assign.frames"
 	// pmafiad: serve-side request tracing (the trace ring).
 	CtrTraceRequests      = "trace.requests"
 	CtrTraceSampled       = "trace.sampled"
@@ -103,13 +101,8 @@ func ParseHTTPStatusCounter(name string) (route, code string, ok bool) {
 const (
 	// HistAssignQueueSeconds is the time /assign requests spent queued
 	// for an in-flight slot before being admitted (shed requests are
-	// not observed — they never ran). Coalesced framed requests observe
-	// a second sample here: enqueue-to-kernel-start inside the
-	// coalescer.
+	// not observed — they never ran).
 	HistAssignQueueSeconds = "assign.queue.seconds"
-	// HistAssignCoalesceRecords is the records labeled per coalesced
-	// batch flush — how much co-riding the coalescer actually achieves.
-	HistAssignCoalesceRecords = "assign.coalesce.records"
 	// HistIngestRefitSeconds is the wall time of each background refit
 	// triggered by the streaming ingester (fit + atomic model write).
 	HistIngestRefitSeconds = "ingest.refit.seconds"
@@ -240,52 +233,50 @@ func LevelDenseCounter(k int) string {
 
 // registered is the exact-name half of the registry.
 var registered = map[string]bool{
-	CtrDiskChunks:            true,
-	CtrDiskBytes:             true,
-	CtrDiskRetries:           true,
-	CtrDiskCorruptions:       true,
-	CtrPrefetchChunks:        true,
-	CtrPrefetchStalls:        true,
-	CtrPoolMergeNS:           true,
-	CtrHistogramRecords:      true,
-	CtrCDUsGenerated:         true,
-	CtrCDUsDeduped:           true,
-	CtrCDUsPopulated:         true,
-	CtrDenseUnits:            true,
-	CtrPopulateRecords:       true,
-	CtrAssignRecords:         true,
-	CtrAssignBatches:         true,
-	CtrAssignCacheHit:        true,
-	CtrAssignCacheMiss:       true,
-	CtrAssignFrames:          true,
-	CtrAssignCoalesceReqs:    true,
-	CtrAssignCoalesceFlushes: true,
-	CtrTraceRequests:         true,
-	CtrTraceSampled:          true,
-	CtrTraceRetained:         true,
-	CtrTraceRetainedError:    true,
-	CtrTraceRetainedSlow:     true,
-	CtrProfileCPU:            true,
-	CtrProfileHeap:           true,
-	CtrProfilePruned:         true,
-	CtrProfileErrors:         true,
-	CtrIngestRecords:         true,
-	CtrIngestChunks:          true,
-	CtrIngestRefits:          true,
-	CtrIngestRefitErrors:     true,
-	CtrSwapChecks:            true,
-	CtrSwapSwaps:             true,
-	CtrSwapErrors:            true,
-	CtrCkptWrites:            true,
-	CtrCkptWriteBytes:        true,
-	CtrCkptWriteNS:           true,
-	CtrCkptRestores:          true,
-	CtrCkptRestoreNS:         true,
-	CtrCkptCorrupt:           true,
-	CtrCkptStale:             true,
-	CtrCkptResumeLevel:       true,
-	CtrSupervisorResume:      true,
-	CtrSupervisorRetry:       true,
+	CtrDiskChunks:         true,
+	CtrDiskBytes:          true,
+	CtrDiskRetries:        true,
+	CtrDiskCorruptions:    true,
+	CtrPrefetchChunks:     true,
+	CtrPrefetchStalls:     true,
+	CtrPoolMergeNS:        true,
+	CtrHistogramRecords:   true,
+	CtrCDUsGenerated:      true,
+	CtrCDUsDeduped:        true,
+	CtrCDUsPopulated:      true,
+	CtrDenseUnits:         true,
+	CtrPopulateRecords:    true,
+	CtrAssignRecords:      true,
+	CtrAssignBatches:      true,
+	CtrAssignCacheHit:     true,
+	CtrAssignCacheMiss:    true,
+	CtrAssignFrames:       true,
+	CtrTraceRequests:      true,
+	CtrTraceSampled:       true,
+	CtrTraceRetained:      true,
+	CtrTraceRetainedError: true,
+	CtrTraceRetainedSlow:  true,
+	CtrProfileCPU:         true,
+	CtrProfileHeap:        true,
+	CtrProfilePruned:      true,
+	CtrProfileErrors:      true,
+	CtrIngestRecords:      true,
+	CtrIngestChunks:       true,
+	CtrIngestRefits:       true,
+	CtrIngestRefitErrors:  true,
+	CtrSwapChecks:         true,
+	CtrSwapSwaps:          true,
+	CtrSwapErrors:         true,
+	CtrCkptWrites:         true,
+	CtrCkptWriteBytes:     true,
+	CtrCkptWriteNS:        true,
+	CtrCkptRestores:       true,
+	CtrCkptRestoreNS:      true,
+	CtrCkptCorrupt:        true,
+	CtrCkptStale:          true,
+	CtrCkptResumeLevel:    true,
+	CtrSupervisorResume:   true,
+	CtrSupervisorRetry:    true,
 }
 
 // patterned matches the constructed counter families:
@@ -302,10 +293,9 @@ var histPatterned = regexp.MustCompile(`^(http\.[a-z_]+\.seconds|model\..+\.(sec
 
 // registeredHists is the exact-name half of the histogram registry.
 var registeredHists = map[string]bool{
-	HistAssignQueueSeconds:    true,
-	HistAssignCoalesceRecords: true,
-	HistIngestRefitSeconds:    true,
-	HistSwapSeconds:           true,
+	HistAssignQueueSeconds: true,
+	HistIngestRefitSeconds: true,
+	HistSwapSeconds:        true,
 }
 
 // IsRegisteredHistogram reports whether name is a declared histogram,

@@ -8,7 +8,7 @@ func TestCounterRegistry(t *testing.T) {
 		CtrPrefetchChunks, CtrPrefetchStalls, CtrPoolMergeNS,
 		CtrHistogramRecords, CtrCDUsGenerated, CtrCDUsDeduped,
 		CtrCDUsPopulated, CtrDenseUnits, CtrPopulateRecords,
-		CtrAssignFrames, CtrAssignCoalesceReqs, CtrAssignCoalesceFlushes,
+		CtrAssignFrames,
 		CtrTraceRequests, CtrTraceSampled, CtrTraceRetained,
 		CtrTraceRetainedError, CtrTraceRetainedSlow,
 		CtrProfileCPU, CtrProfileHeap, CtrProfilePruned, CtrProfileErrors,
@@ -52,7 +52,7 @@ func TestCounterRegistry(t *testing.T) {
 
 func TestHistogramRegistry(t *testing.T) {
 	for _, name := range []string{
-		HistAssignQueueSeconds, HistAssignCoalesceRecords,
+		HistAssignQueueSeconds,
 		HistIngestRefitSeconds, HistSwapSeconds,
 		HistRouteSeconds("assign"), HistRouteSeconds("debug_slow"),
 		HistModelSeconds("taxi.pmfm"), HistModelRecords("taxi.pmfm"),
@@ -131,7 +131,7 @@ func TestHistogramBoundsByFamily(t *testing.T) {
 			t.Errorf("%q did not get the latency bounds", name)
 		}
 	}
-	for _, name := range []string{HistModelRecords("a.pmfm"), HistAssignCoalesceRecords} {
+	for _, name := range []string{HistModelRecords("a.pmfm")} {
 		if got := HistogramBounds(name); &got[0] != &DefaultSizeBounds[0] {
 			t.Errorf("%q did not get the size bounds", name)
 		}
@@ -144,59 +144,56 @@ func TestHistogramBoundsByFamily(t *testing.T) {
 // change here is a dashboard-breaking change — update deliberately.
 func TestPromNameMapping(t *testing.T) {
 	want := map[string]string{
-		CtrDiskChunks:            "pmafia_diskio_chunks",
-		CtrDiskBytes:             "pmafia_diskio_bytes",
-		CtrDiskRetries:           "pmafia_diskio_retries",
-		CtrDiskCorruptions:       "pmafia_diskio_corruptions",
-		CtrPrefetchChunks:        "pmafia_diskio_prefetch_chunks",
-		CtrPrefetchStalls:        "pmafia_diskio_prefetch_stalls",
-		CtrPoolMergeNS:           "pmafia_pool_merge_ns",
-		CtrHistogramRecords:      "pmafia_histogram_records",
-		CtrCDUsGenerated:         "pmafia_cdus_generated",
-		CtrCDUsDeduped:           "pmafia_cdus_deduped",
-		CtrCDUsPopulated:         "pmafia_cdus_populated",
-		CtrDenseUnits:            "pmafia_dense_units",
-		CtrPopulateRecords:       "pmafia_populate_records",
-		CtrAssignRecords:         "pmafia_assign_records",
-		CtrAssignBatches:         "pmafia_assign_batches",
-		CtrAssignCacheHit:        "pmafia_assign_cache_hit",
-		CtrAssignCacheMiss:       "pmafia_assign_cache_miss",
-		CtrAssignFrames:          "pmafia_assign_frames",
-		CtrAssignCoalesceReqs:    "pmafia_assign_coalesce_requests",
-		CtrAssignCoalesceFlushes: "pmafia_assign_coalesce_flushes",
-		CtrTraceRequests:         "pmafia_trace_requests",
-		CtrTraceSampled:          "pmafia_trace_sampled",
-		CtrTraceRetained:         "pmafia_trace_retained",
-		CtrTraceRetainedError:    "pmafia_trace_retained_error",
-		CtrTraceRetainedSlow:     "pmafia_trace_retained_slow",
-		CtrProfileCPU:            "pmafia_profile_cpu",
-		CtrProfileHeap:           "pmafia_profile_heap",
-		CtrProfilePruned:         "pmafia_profile_pruned",
-		CtrProfileErrors:         "pmafia_profile_errors",
-		CtrIngestRecords:         "pmafia_ingest_records",
-		CtrIngestChunks:          "pmafia_ingest_chunks",
-		CtrIngestRefits:          "pmafia_ingest_refits",
-		CtrIngestRefitErrors:     "pmafia_ingest_refit_errors",
-		CtrSwapChecks:            "pmafia_swap_checks",
-		CtrSwapSwaps:             "pmafia_swap_swaps",
-		CtrSwapErrors:            "pmafia_swap_errors",
-		CtrCkptWrites:            "pmafia_ckpt_write",
-		CtrCkptWriteBytes:        "pmafia_ckpt_write_bytes",
-		CtrCkptWriteNS:           "pmafia_ckpt_write_ns",
-		CtrCkptRestores:          "pmafia_ckpt_restore",
-		CtrCkptRestoreNS:         "pmafia_ckpt_restore_ns",
-		CtrCkptCorrupt:           "pmafia_ckpt_corrupt",
-		CtrCkptStale:             "pmafia_ckpt_stale",
-		CtrCkptResumeLevel:       "pmafia_ckpt_resume_level",
-		CtrSupervisorResume:      "pmafia_supervisor_resumes",
-		CtrSupervisorRetry:       "pmafia_supervisor_restarts",
+		CtrDiskChunks:         "pmafia_diskio_chunks",
+		CtrDiskBytes:          "pmafia_diskio_bytes",
+		CtrDiskRetries:        "pmafia_diskio_retries",
+		CtrDiskCorruptions:    "pmafia_diskio_corruptions",
+		CtrPrefetchChunks:     "pmafia_diskio_prefetch_chunks",
+		CtrPrefetchStalls:     "pmafia_diskio_prefetch_stalls",
+		CtrPoolMergeNS:        "pmafia_pool_merge_ns",
+		CtrHistogramRecords:   "pmafia_histogram_records",
+		CtrCDUsGenerated:      "pmafia_cdus_generated",
+		CtrCDUsDeduped:        "pmafia_cdus_deduped",
+		CtrCDUsPopulated:      "pmafia_cdus_populated",
+		CtrDenseUnits:         "pmafia_dense_units",
+		CtrPopulateRecords:    "pmafia_populate_records",
+		CtrAssignRecords:      "pmafia_assign_records",
+		CtrAssignBatches:      "pmafia_assign_batches",
+		CtrAssignCacheHit:     "pmafia_assign_cache_hit",
+		CtrAssignCacheMiss:    "pmafia_assign_cache_miss",
+		CtrAssignFrames:       "pmafia_assign_frames",
+		CtrTraceRequests:      "pmafia_trace_requests",
+		CtrTraceSampled:       "pmafia_trace_sampled",
+		CtrTraceRetained:      "pmafia_trace_retained",
+		CtrTraceRetainedError: "pmafia_trace_retained_error",
+		CtrTraceRetainedSlow:  "pmafia_trace_retained_slow",
+		CtrProfileCPU:         "pmafia_profile_cpu",
+		CtrProfileHeap:        "pmafia_profile_heap",
+		CtrProfilePruned:      "pmafia_profile_pruned",
+		CtrProfileErrors:      "pmafia_profile_errors",
+		CtrIngestRecords:      "pmafia_ingest_records",
+		CtrIngestChunks:       "pmafia_ingest_chunks",
+		CtrIngestRefits:       "pmafia_ingest_refits",
+		CtrIngestRefitErrors:  "pmafia_ingest_refit_errors",
+		CtrSwapChecks:         "pmafia_swap_checks",
+		CtrSwapSwaps:          "pmafia_swap_swaps",
+		CtrSwapErrors:         "pmafia_swap_errors",
+		CtrCkptWrites:         "pmafia_ckpt_write",
+		CtrCkptWriteBytes:     "pmafia_ckpt_write_bytes",
+		CtrCkptWriteNS:        "pmafia_ckpt_write_ns",
+		CtrCkptRestores:       "pmafia_ckpt_restore",
+		CtrCkptRestoreNS:      "pmafia_ckpt_restore_ns",
+		CtrCkptCorrupt:        "pmafia_ckpt_corrupt",
+		CtrCkptStale:          "pmafia_ckpt_stale",
+		CtrCkptResumeLevel:    "pmafia_ckpt_resume_level",
+		CtrSupervisorResume:   "pmafia_supervisor_resumes",
+		CtrSupervisorRetry:    "pmafia_supervisor_restarts",
 		// Patterned families, one instance each.
 		CommCountCounter(KindReduce):     "pmafia_comm_reduce_count",
 		CommBytesCounter(KindGather):     "pmafia_comm_gather_bytes",
 		LevelDenseCounter(7):             "pmafia_level_07_dense",
 		CtrHTTPStatus("assign", 200):     "pmafia_http_assign_status_200",
 		HistAssignQueueSeconds:           "pmafia_assign_queue_seconds",
-		HistAssignCoalesceRecords:        "pmafia_assign_coalesce_records",
 		HistRouteSeconds("assign"):       "pmafia_http_assign_seconds",
 		HistModelSeconds("taxi.pmfm"):    "pmafia_model_taxi_pmfm_seconds",
 		HistModelRecords("taxi.pmfm"):    "pmafia_model_taxi_pmfm_records",

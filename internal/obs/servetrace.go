@@ -3,16 +3,12 @@ package obs
 // Serve-side request tracing. Where the Recorder's spans cover the
 // fit-side SPMD engine in rank-clock time, a ServeTrace covers one
 // HTTP request in wall-clock time: a root span (the whole request)
-// plus flat child stage spans (queue, decode, coalesce-wait, kernel,
+// plus flat child stage spans (queue, decode or frame-decode, kernel,
 // encode). Traces live in a TraceRing, which applies head sampling
 // plus tail-based retention: every non-2xx request and every request
 // that ranks among the slowest seen are always kept, regardless of
 // the sampling decision, so the interesting tail survives even at a
-// 1% sample rate. The coalescer records one KernelSpan per batch
-// flush carrying the trace IDs of its waiters; the Chrome export
-// reuses the flow-event synthesis ("s"/"f" pairs, like the modeled
-// collective messages) to draw arrows from each retained waiter's
-// coalesce-wait span to the shared kernel-invocation span.
+// 1% sample rate.
 //
 // All times are float64 seconds since the ring's epoch (its creation
 // time), converted to microseconds only at export.
@@ -35,8 +31,7 @@ type StageSpan struct {
 
 // ServeTrace is one request's trace: identity, outcome, the root
 // [Start, End] window, and its stage spans. A trace is built by a
-// single goroutine (the request's) — the coalescer hands its kernel
-// window back to each waiter rather than writing into the trace.
+// single goroutine (the request's).
 type ServeTrace struct {
 	// ID is the ring's retention key and must be unique per request
 	// (the daemon uses the X-Request-ID). TraceID is the W3C
@@ -53,9 +48,6 @@ type ServeTrace struct {
 	Start   float64     `json:"start"`
 	End     float64     `json:"end"`
 	Spans   []StageSpan `json:"spans"`
-	// KernelID links to the coalesced KernelSpan that labeled this
-	// request's records, 0 when the request was not coalesced.
-	KernelID int64 `json:"kernel_id,omitempty"`
 }
 
 // Stage appends one stage span. Nil-safe: recording into an
@@ -82,20 +74,6 @@ func (t *ServeTrace) StageSum() float64 {
 // Duration returns the root span's duration.
 func (t *ServeTrace) Duration() float64 { return t.End - t.Start }
 
-// KernelSpan is one coalesced kernel invocation: the batch the
-// coalescer labeled with a single kernel call, carrying the trace IDs
-// of the waiter requests it served. It is the serve-side analogue of
-// a collective's MsgEvents: the correlation record the Chrome export
-// turns into flow arrows.
-type KernelSpan struct {
-	ID      int64    `json:"id"`
-	Model   string   `json:"model"`
-	Records int      `json:"records"`
-	Start   float64  `json:"start"`
-	End     float64  `json:"end"`
-	Waiters []string `json:"waiters"` // trace keys (request IDs) of the coalesced requests
-}
-
 // TraceRing is the bounded retention store for serve traces. Offer
 // classifies a finished trace into up to three retention classes:
 //
@@ -106,25 +84,21 @@ type KernelSpan struct {
 //     /debug/slow entry's trace is retained.
 //   - samp: head-sampled ordinary traces, FIFO-bounded.
 //
-// Kernel spans are kept in their own FIFO window. All methods are
-// nil-safe no-ops, preserving the package's pay-for-use contract.
+// All methods are nil-safe no-ops, preserving the package's
+// pay-for-use contract.
 type TraceRing struct {
 	mu      sync.Mutex
 	epoch   time.Time
 	cap     int
 	slowCap int
 
-	samp    []*ServeTrace
-	errs    []*ServeTrace
-	slow    []*ServeTrace
-	kernels []*KernelSpan
-
-	nextKernel int64
+	samp []*ServeTrace
+	errs []*ServeTrace
+	slow []*ServeTrace
 }
 
 // NewTraceRing creates a ring keeping up to cap sampled traces, cap
-// error traces, max(cap, slowCap) slow traces, and 4*cap kernel
-// spans.
+// error traces, and max(cap, slowCap) slow traces.
 func NewTraceRing(cap, slowCap int) *TraceRing {
 	if cap < 1 {
 		cap = 1
@@ -142,14 +116,6 @@ func (tr *TraceRing) Epoch() time.Time {
 		return time.Time{}
 	}
 	return tr.epoch
-}
-
-// Since converts a wall-clock instant to ring time.
-func (tr *TraceRing) Since(t time.Time) float64 {
-	if tr == nil {
-		return 0
-	}
-	return t.Sub(tr.epoch).Seconds()
 }
 
 // Offer classifies a finished trace. sampled is the head-sampling
@@ -200,29 +166,6 @@ func (tr *TraceRing) offerSlowLocked(t *ServeTrace) bool {
 	return true
 }
 
-// Kernel records one coalesced kernel invocation over the waiter
-// trace IDs and returns its correlation ID (never 0).
-func (tr *TraceRing) Kernel(model string, records int, waiters []string, start, end time.Time) int64 {
-	if tr == nil {
-		return 0
-	}
-	tr.mu.Lock()
-	defer tr.mu.Unlock()
-	tr.nextKernel++
-	tr.kernels = append(tr.kernels, &KernelSpan{
-		ID:      tr.nextKernel,
-		Model:   model,
-		Records: records,
-		Start:   start.Sub(tr.epoch).Seconds(),
-		End:     end.Sub(tr.epoch).Seconds(),
-		Waiters: waiters,
-	})
-	if len(tr.kernels) > 4*tr.cap {
-		tr.kernels = tr.kernels[1:]
-	}
-	return tr.nextKernel
-}
-
 // Lookup returns the retained trace with the given ID, nil if it was
 // never retained or has since been evicted from every class.
 func (tr *TraceRing) Lookup(id string) *ServeTrace {
@@ -241,11 +184,11 @@ func (tr *TraceRing) Lookup(id string) *ServeTrace {
 	return nil
 }
 
-// Snapshot returns the retained traces (deduplicated across classes,
-// ordered by start time) and the kernel-span window.
-func (tr *TraceRing) Snapshot() ([]*ServeTrace, []*KernelSpan) {
+// Snapshot returns the retained traces, deduplicated across classes
+// and ordered by start time.
+func (tr *TraceRing) Snapshot() []*ServeTrace {
 	if tr == nil {
-		return nil, nil
+		return nil
 	}
 	tr.mu.Lock()
 	defer tr.mu.Unlock()
@@ -260,23 +203,20 @@ func (tr *TraceRing) Snapshot() ([]*ServeTrace, []*KernelSpan) {
 		}
 	}
 	sort.Slice(traces, func(i, j int) bool { return traces[i].Start < traces[j].Start })
-	kernels := make([]*KernelSpan, len(tr.kernels))
-	copy(kernels, tr.kernels)
-	return traces, kernels
+	return traces
 }
 
-// WriteChromeTrace exports every retained trace (and the kernel spans
-// linked to them) as a Chrome trace_event document.
+// WriteChromeTrace exports every retained trace as a Chrome
+// trace_event document.
 func (tr *TraceRing) WriteChromeTrace(w io.Writer) error {
 	if tr == nil {
 		return fmt.Errorf("obs: nil trace ring")
 	}
-	traces, kernels := tr.Snapshot()
-	return WriteServeTrace(w, traces, kernels)
+	return WriteServeTrace(w, tr.Snapshot())
 }
 
-// WriteTraceByID exports one retained trace (plus its kernel span, if
-// any survives in the window). found is false when the ID is unknown.
+// WriteTraceByID exports one retained trace. found is false when the
+// ID is unknown.
 func (tr *TraceRing) WriteTraceByID(w io.Writer, id string) (found bool, err error) {
 	if tr == nil {
 		return false, nil
@@ -285,40 +225,18 @@ func (tr *TraceRing) WriteTraceByID(w io.Writer, id string) (found bool, err err
 	if t == nil {
 		return false, nil
 	}
-	var linked []*KernelSpan
-	if t.KernelID != 0 {
-		tr.mu.Lock()
-		for _, k := range tr.kernels {
-			if k.ID == t.KernelID {
-				linked = append(linked, k)
-				break
-			}
-		}
-		tr.mu.Unlock()
-	}
-	return true, WriteServeTrace(w, []*ServeTrace{t}, linked)
+	return true, WriteServeTrace(w, []*ServeTrace{t})
 }
 
-// WriteServeTrace renders request traces and coalesced kernel spans
-// as Chrome trace_event JSON: one thread track per request (the root
-// "X" event named after the route, stage "X" events inside it), a
-// dedicated "coalesced kernels" track (tid 0), and one flow-event
-// pair per (kernel, retained waiter) — "s" anchored at the waiter's
-// coalesce-wait start, "f" (bp "e") at the kernel span's start — so
-// the viewer draws an arrow from every request into the shared kernel
-// invocation that labeled it. Kernel spans none of whose waiters are
-// in traces are dropped: every exported kernel span is flow-linked to
-// at least one request span.
-func WriteServeTrace(w io.Writer, traces []*ServeTrace, kernels []*KernelSpan) error {
+// WriteServeTrace renders request traces as Chrome trace_event JSON:
+// one thread track per request, the root "X" event named after the
+// route and the stage "X" events inside it.
+func WriteServeTrace(w io.Writer, traces []*ServeTrace) error {
 	doc := traceDoc{DisplayTimeUnit: "ms", TraceEvents: []traceEvent{
 		{Name: "process_name", Ph: "M", Pid: 0, Tid: 0,
 			Args: map[string]any{"name": "pmafiad"}},
-		{Name: "thread_name", Ph: "M", Pid: 0, Tid: 0,
-			Args: map[string]any{"name": "coalesced kernels"}},
 	}}
-	tid := map[string]int{} // trace ID -> thread track
 	for i, t := range traces {
-		tid[t.ID] = i + 1
 		doc.TraceEvents = append(doc.TraceEvents, traceEvent{
 			Name: "thread_name", Ph: "M", Pid: 0, Tid: i + 1,
 			Args: map[string]any{"name": fmt.Sprintf("req %s (%s)", t.ID, t.Route)},
@@ -346,68 +264,7 @@ func WriteServeTrace(w io.Writer, traces []*ServeTrace, kernels []*KernelSpan) e
 			})
 		}
 	}
-	var flowID int64
-	for _, k := range kernels {
-		var linked []string
-		for _, id := range k.Waiters {
-			if _, ok := tid[id]; ok {
-				linked = append(linked, id)
-			}
-		}
-		if len(linked) == 0 {
-			continue
-		}
-		doc.TraceEvents = append(doc.TraceEvents, traceEvent{
-			Name: "kernel", Cat: "kernel", Ph: "X",
-			Ts: k.Start * 1e6, Dur: (k.End - k.Start) * 1e6,
-			Pid: 0, Tid: 0,
-			Args: map[string]any{
-				"kernel_id": k.ID, "model": k.Model,
-				"records": k.Records, "waiters": len(k.Waiters),
-			},
-		})
-		for _, id := range linked {
-			flowID++
-			// Anchor the arrow at the waiter's coalesce-wait span when it
-			// has one; the root span start otherwise.
-			src := flowSource(traceByID(traces, id))
-			args := map[string]any{"kernel_id": k.ID, "id": id}
-			doc.TraceEvents = append(doc.TraceEvents,
-				traceEvent{
-					Name: "coalesce", Cat: "coalesce", Ph: "s", ID: flowID,
-					Ts: src * 1e6, Pid: 0, Tid: tid[id], Args: args,
-				},
-				traceEvent{
-					Name: "coalesce", Cat: "coalesce", Ph: "f", ID: flowID, Bp: "e",
-					Ts: k.Start * 1e6, Pid: 0, Tid: 0, Args: args,
-				})
-		}
-	}
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", " ")
 	return enc.Encode(doc)
-}
-
-func traceByID(traces []*ServeTrace, id string) *ServeTrace {
-	for _, t := range traces {
-		if t.ID == id {
-			return t
-		}
-	}
-	return nil
-}
-
-// flowSource picks the timestamp the flow arrow leaves a waiter's
-// track from: its coalesce-wait stage start, falling back to the root
-// span start.
-func flowSource(t *ServeTrace) float64 {
-	if t == nil {
-		return 0
-	}
-	for _, s := range t.Spans {
-		if s.Stage == "coalesce-wait" {
-			return s.Start
-		}
-	}
-	return t.Start
 }

@@ -1,12 +1,8 @@
 package obs
 
 import (
-	"bytes"
-	"encoding/json"
 	"fmt"
-	"strings"
 	"testing"
-	"time"
 )
 
 func mkTrace(id string, status int, start, dur float64) *ServeTrace {
@@ -44,7 +40,7 @@ func TestTraceRingRetentionClasses(t *testing.T) {
 			t.Errorf("retained trace %q not resolvable", id)
 		}
 	}
-	traces, _ := tr.Snapshot()
+	traces := tr.Snapshot()
 	if len(traces) != 4 {
 		t.Fatalf("snapshot has %d traces, want 4", len(traces))
 	}
@@ -91,95 +87,6 @@ func TestTraceRingErrFIFO(t *testing.T) {
 	}
 }
 
-func TestWriteServeTraceFlowLinks(t *testing.T) {
-	tr := NewTraceRing(8, 8)
-	w1 := mkTrace("req1", 200, 0.0, 0.010)
-	w1.Stage("queue", 0.000, 0.001)
-	w1.Stage("coalesce-wait", 0.002, 0.005)
-	w1.Stage("kernel", 0.005, 0.008)
-	w2 := mkTrace("req2", 200, 0.001, 0.009)
-	w2.Stage("coalesce-wait", 0.003, 0.005)
-	w2.Stage("kernel", 0.005, 0.008)
-	epoch := tr.Epoch()
-	kid := tr.Kernel("m.pmfm", 64, []string{"req1", "req2", "dropped"},
-		epoch.Add(5*time.Millisecond), epoch.Add(8*time.Millisecond))
-	if kid == 0 {
-		t.Fatal("Kernel returned id 0")
-	}
-	w1.KernelID, w2.KernelID = kid, kid
-	tr.Offer(w1, true)
-	tr.Offer(w2, true)
-	// A second kernel span none of whose waiters are retained must not
-	// be exported.
-	tr.Kernel("m.pmfm", 8, []string{"ghost"}, epoch, epoch.Add(time.Millisecond))
-
-	var buf bytes.Buffer
-	if err := tr.WriteChromeTrace(&buf); err != nil {
-		t.Fatal(err)
-	}
-	var doc struct {
-		TraceEvents []struct {
-			Name string         `json:"name"`
-			Cat  string         `json:"cat"`
-			Ph   string         `json:"ph"`
-			ID   int64          `json:"id"`
-			Bp   string         `json:"bp"`
-			Tid  int            `json:"tid"`
-			Args map[string]any `json:"args"`
-		} `json:"traceEvents"`
-	}
-	if err := json.Unmarshal(buf.Bytes(), &doc); err != nil {
-		t.Fatalf("export is not valid JSON: %v", err)
-	}
-	kernels, starts, finishes := 0, map[int64]bool{}, map[int64]bool{}
-	for _, ev := range doc.TraceEvents {
-		switch {
-		case ev.Ph == "X" && ev.Cat == "kernel":
-			kernels++
-			if ev.Tid != 0 {
-				t.Error("kernel span not on the kernel track")
-			}
-		case ev.Ph == "s":
-			starts[ev.ID] = true
-		case ev.Ph == "f":
-			finishes[ev.ID] = true
-			if ev.Bp != "e" {
-				t.Error("flow finish missing bp e")
-			}
-			if ev.Tid != 0 {
-				t.Error("flow finish not on the kernel track")
-			}
-		}
-	}
-	if kernels != 1 {
-		t.Fatalf("exported %d kernel spans, want 1 (unlinked span must be dropped)", kernels)
-	}
-	if len(starts) != 2 || len(finishes) != 2 {
-		t.Fatalf("flow pairs: %d starts, %d finishes, want 2 each", len(starts), len(finishes))
-	}
-	for id := range starts {
-		if !finishes[id] {
-			t.Errorf("flow id %d has no finish", id)
-		}
-	}
-
-	// Per-ID export carries the single trace and its kernel span.
-	buf.Reset()
-	found, err := tr.WriteTraceByID(&buf, "req1")
-	if err != nil || !found {
-		t.Fatalf("WriteTraceByID: found=%v err=%v", found, err)
-	}
-	if !strings.Contains(buf.String(), `"req1"`) || strings.Contains(buf.String(), `"req2"`) {
-		t.Error("per-ID export has the wrong trace set")
-	}
-	if !strings.Contains(buf.String(), `"waiters"`) {
-		t.Error("per-ID export dropped the linked kernel span")
-	}
-	if found, _ := tr.WriteTraceByID(&buf, "nope"); found {
-		t.Error("unknown ID reported found")
-	}
-}
-
 func TestTraceStageSum(t *testing.T) {
 	tr := mkTrace("x", 200, 1.0, 0.010)
 	tr.Stage("queue", 1.000, 1.001)
@@ -196,9 +103,6 @@ func TestNilTraceRingAndTrace(t *testing.T) {
 	st.Stage("queue", 0, 1) // must not panic
 	if retained, _, _ := tr.Offer(mkTrace("x", 200, 0, 1), true); retained {
 		t.Error("nil ring retained a trace")
-	}
-	if tr.Kernel("m", 1, []string{"x"}, time.Now(), time.Now()) != 0 {
-		t.Error("nil ring minted a kernel id")
 	}
 	if tr.Lookup("x") != nil {
 		t.Error("nil ring resolved a trace")
