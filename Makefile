@@ -7,9 +7,11 @@ test:
 	go test ./...
 
 # Extended tier-1 gate: vet + gofmt + staticcheck + full suite under
-# -race + fuzz smoke on the untrusted-input decoders + the self-test of
-# the repository benchmark (perfbench/; run the benchmark itself with
-# perfbench/run.sh, see perfbench/README.md).
+# -race + fuzz smoke on the untrusted-input decoders (.pmaf files,
+# checkpoints, .pmfm models, CSV and framed request bodies) and the
+# population kernels + the self-test of the repository benchmark
+# (perfbench/; run the benchmark itself with perfbench/run.sh, see
+# perfbench/README.md).
 check:
 	sh scripts/check.sh -smoke
 

@@ -77,7 +77,6 @@ type options struct {
 	mode        string
 	chunk       int
 	workers     int
-	prefetch    bool
 	useClique   bool
 	bins        int
 	tau         float64
@@ -106,7 +105,6 @@ func main() {
 	flag.StringVar(&o.mode, "mode", "sim", "machine mode: sim (virtual time) or real (concurrent)")
 	flag.IntVar(&o.chunk, "chunk", 8192, "records per out-of-core read (B)")
 	flag.IntVar(&o.workers, "workers", 1, "intra-rank worker goroutines sharding each chunk's records")
-	flag.BoolVar(&o.prefetch, "prefetch", false, "overlap disk reads with compute via a double-buffered prefetcher (.pmaf inputs)")
 	flag.BoolVar(&o.useClique, "clique", false, "run the CLIQUE baseline instead of pMAFIA")
 	flag.IntVar(&o.bins, "bins", 10, "bins per dimension ξ (CLIQUE)")
 	flag.Float64Var(&o.tau, "tau", 0.01, "global density threshold τ as a fraction of N (CLIQUE)")
@@ -208,7 +206,6 @@ func run(ctx context.Context, path string, o options) (recovered bool, err error
 	if f, ok := src.(*diskio.File); ok {
 		f.SetRecorder(rec)
 		f.SetFaults(plan)
-		f.SetPrefetch(o.prefetch)
 	}
 	shards := shardSource(src, o.procs)
 

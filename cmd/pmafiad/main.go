@@ -52,8 +52,6 @@ func main() {
 	flag.IntVar(&cfg.CacheCap, "cache", 4, "max models resident at once (LRU eviction)")
 	flag.DurationVar(&cfg.Timeout, "timeout", 30*time.Second, "per-request read/write timeout")
 	flag.IntVar(&cfg.Inflight, "max-inflight", 8, "max concurrent /assign requests")
-	flag.IntVar(&cfg.Chunk, "chunk", 8192, "records per assignment batch")
-	flag.IntVar(&cfg.Workers, "workers", 1, "goroutines fanning out each assignment request")
 	flag.Int64Var(&cfg.MaxBody, "max-body", 1<<30, "request body cap in bytes")
 	flag.DurationVar(&cfg.SwapCheck, "swap-check", time.Second, "min interval between on-disk freshness checks of a served model (negative disables hot swap)")
 	flag.StringVar(&cfg.IngestModel, "ingest-model", "", "model file name (inside -models) maintained by POST /ingest (empty disables streaming ingest)")

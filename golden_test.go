@@ -76,7 +76,6 @@ func TestGoldenClusterRecovery(t *testing.T) {
 	if err != nil {
 		t.Fatalf("open committed golden data: %v (run with -update-golden to create it)", err)
 	}
-	f.SetPrefetch(true)
 	res, err := Run(f, Config{ChunkRecords: 512})
 	if err != nil {
 		t.Fatal(err)

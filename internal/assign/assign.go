@@ -14,10 +14,10 @@
 // the first set bit of the intersection names the first matching
 // cluster, reproducing the oracle's label bit for bit.
 //
-// The hot path is a batch-of-records kernel: AssignChunk and
-// AssignSource label BlockRecords records per outer iteration,
-// dimension-major. Per dimension the table pointer is hoisted out of
-// the record loop and the d-way AND is unrolled across the block, so
+// The hot path is a batch-of-records kernel: AssignChunk labels
+// BlockRecords records per outer iteration, dimension-major. Per
+// dimension the table pointer is hoisted out of the record loop and
+// the d-way AND is unrolled across the block, so
 // a bin's bitset row and the boxCluster table are touched once per
 // block while they are hot instead of re-sliced once per record; a
 // per-block liveness word keeps the scalar path's early exit at
@@ -31,9 +31,7 @@ import (
 	"math/bits"
 
 	"pmafia/internal/cluster"
-	"pmafia/internal/dataset"
 	"pmafia/internal/grid"
-	"pmafia/internal/pool"
 )
 
 // dimTable is one dimension's compiled lookup state.
@@ -178,15 +176,14 @@ func (ix *Index) Clusters() int { return ix.clusters }
 // index (the bitset width).
 func (ix *Index) Boxes() int { return len(ix.boxCluster) }
 
-// BlockRecords is the batch-kernel block width: AssignChunk and
-// AssignSource label this many records per outer iteration, and the
-// per-block liveness mask is one uint64, so the width is fixed at 64.
+// BlockRecords is the batch-kernel block width: AssignChunk labels
+// this many records per outer iteration, and the per-block liveness
+// mask is one uint64, so the width is fixed at 64.
 const BlockRecords = 64
 
 // Scratch allocates a working buffer for AssignChunk:
 // one bitset accumulator per record of a full block (BlockRecords ×
-// words). Concurrent callers need one buffer each — AssignSource
-// allocates one per worker, so worker blocks can never alias.
+// words). Concurrent callers need one buffer each.
 func (ix *Index) Scratch() []uint64 { return make([]uint64, BlockRecords*ix.words) }
 
 // scratchNeed returns the scratch words AssignChunk needs for n
@@ -545,19 +542,6 @@ func (ix *Index) assignBlockN(rows []float64, n int, labels []int32, scratch []u
 	}
 }
 
-// assignBlocks runs the batch kernel over len(labels) records in
-// blocks of BlockRecords.
-func (ix *Index) assignBlocks(rows []float64, labels []int32, scratch []uint64) {
-	d := len(ix.dims)
-	for base := 0; base < len(labels); base += BlockRecords {
-		n := len(labels) - base
-		if n > BlockRecords {
-			n = BlockRecords
-		}
-		ix.assignBlock(rows[base*d:], n, labels[base:base+n], scratch)
-	}
-}
-
 // AssignChunk labels len(labels) records stored row-major in chunk
 // (len(chunk) must be len(labels)*Dims()) without allocating, running
 // the batch kernel block by block; scratch comes from Scratch.
@@ -570,37 +554,12 @@ func (ix *Index) AssignChunk(chunk []float64, labels []int32, scratch []uint64) 
 		return fmt.Errorf("assign: scratch has %d words, the batch kernel needs %d (%d-record blocks of %d words)",
 			len(scratch), need, BlockRecords, ix.words)
 	}
-	ix.assignBlocks(chunk, labels, scratch)
+	for base := 0; base < len(labels); base += BlockRecords {
+		n := len(labels) - base
+		if n > BlockRecords {
+			n = BlockRecords
+		}
+		ix.assignBlock(chunk[base*d:], n, labels[base:base+n], scratch)
+	}
 	return nil
-}
-
-// AssignSource labels every record of src in scan order, reading in
-// chunks of chunkRecords and fanning each chunk across workers
-// goroutines (workers <= 1 runs inline). Each worker runs the batch
-// kernel over its own block-sized Scratch buffer, and worker shard
-// boundaries are aligned to BlockRecords so no block is split across
-// workers.
-func (ix *Index) AssignSource(src dataset.Source, chunkRecords, workers int) ([]int32, error) {
-	d := len(ix.dims)
-	if src.Dims() != d {
-		return nil, fmt.Errorf("assign: %d-dim source, index labels %d dims", src.Dims(), d)
-	}
-	if chunkRecords <= 0 {
-		chunkRecords = 8192
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	labels := make([]int32, src.NumRecords())
-	scratch := make([][]uint64, workers)
-	for w := range scratch {
-		scratch[w] = ix.Scratch()
-	}
-	n, err := pool.ScanOffsetAligned(src, chunkRecords, workers, BlockRecords, func(w int, chunk []float64, base int64, lo, hi int) {
-		ix.assignBlocks(chunk[lo*d:hi*d], labels[base+int64(lo):base+int64(hi)], scratch[w])
-	})
-	if err != nil {
-		return nil, err
-	}
-	return labels[:n], nil
 }

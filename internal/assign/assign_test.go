@@ -170,13 +170,6 @@ func TestDimsMismatchErrors(t *testing.T) {
 	if err := ix.AssignChunk(make([]float64, 6), make([]int32, 2), nil); err == nil {
 		t.Error("AssignChunk accepted a nil scratch")
 	}
-	m, err := dataset.FromRows([][]float64{{0.5, 0.5}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := ix.AssignSource(m, 0, 1); err == nil {
-		t.Error("AssignSource accepted a 2-dim source on a 3-dim index")
-	}
 }
 
 func TestIndexRejectsInconsistentClusters(t *testing.T) {
@@ -274,8 +267,9 @@ func TestPropertyMatchesOracle(t *testing.T) {
 	}
 }
 
-// TestChunkAndSourceMatchRecord checks the batched paths agree with
-// the one-record path, including the multi-worker fan-out.
+// TestChunkAndSourceMatchRecord checks the batch kernel agrees with
+// the one-record path, over one whole chunk and over a source scanned
+// in chunks.
 func TestChunkAndSourceMatchRecord(t *testing.T) {
 	r := rng.New(7)
 	d := 4
@@ -314,17 +308,28 @@ func TestChunkAndSourceMatchRecord(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, workers := range []int{1, 3} {
-		labels, err := ix.AssignSource(m, 128, workers)
-		if err != nil {
-			t.Fatal(err)
+	// Label the source chunk by chunk, reusing one scratch buffer and
+	// chunk sizes that cut kernel blocks short.
+	for _, chunk := range []int{1, 97, 128} {
+		var labels []int32
+		sc := m.Scan(chunk)
+		for {
+			vals, cn := sc.Next()
+			if cn == 0 {
+				break
+			}
+			out := make([]int32, cn)
+			if err := ix.AssignChunk(vals[:cn*d], out, scratch); err != nil {
+				t.Fatal(err)
+			}
+			labels = append(labels, out...)
 		}
 		if len(labels) != n {
-			t.Fatalf("workers=%d: %d labels for %d records", workers, len(labels), n)
+			t.Fatalf("chunk=%d: %d labels for %d records", chunk, len(labels), n)
 		}
 		for i := range want {
 			if labels[i] != want[i] {
-				t.Fatalf("workers=%d record %d: %d vs %d", workers, i, labels[i], want[i])
+				t.Fatalf("chunk=%d record %d: %d vs %d", chunk, i, labels[i], want[i])
 			}
 		}
 	}
@@ -335,8 +340,7 @@ func TestChunkAndSourceMatchRecord(t *testing.T) {
 // cluster-count (crossing the 1-, 2-, and N-word bitset kernels) ×
 // block size (tails, exactly one block, block+tail, multi-block), with
 // records on exact bin bounds, NaN, ±Inf, and out-of-domain values.
-// AssignChunk and the multi-worker AssignSource must reproduce the
-// per-record labels bit-identically.
+// AssignChunk must reproduce the per-record labels bit-identically.
 func TestBatchKernelPropertySweep(t *testing.T) {
 	r := rng.New(99)
 	blockSizes := []int{1, 7, 63, 64, 65, 2*64 + 17}
@@ -453,85 +457,6 @@ func TestBatchKernelPropertySweep(t *testing.T) {
 						trial, ncl, ix.Boxes(), n, i, got[i], want[i])
 				}
 			}
-			src := &dataset.Matrix{D: d, Values: flat}
-			for _, workers := range []int{1, 3} {
-				labels, err := ix.AssignSource(src, 97, workers)
-				if err != nil {
-					t.Fatal(err)
-				}
-				for i := range want {
-					if labels[i] != want[i] {
-						t.Fatalf("trial %d n=%d workers=%d: AssignSource record %d labeled %d, AssignRecord says %d",
-							trial, n, workers, i, labels[i], want[i])
-					}
-				}
-			}
-		}
-	}
-}
-
-// TestAssignSourceWorkersBlockIsolation is the scratch-aliasing
-// regression test: a multi-word index (boxes > 64) driven through
-// AssignSource at workers > 1 with a chunk size that is not a multiple
-// of the kernel block width. If two workers ever shared a block (or a
-// scratch buffer sized below the block width), concurrent accumulator
-// writes would corrupt labels; every worker must reproduce the
-// single-record path exactly.
-func TestAssignSourceWorkersBlockIsolation(t *testing.T) {
-	r := rng.New(31)
-	const d, xi = 5, 16
-	g := uniformGrid(t, unitDomains(d), xi)
-	cs := make([]cluster.Cluster, 0, 90)
-	for ci := 0; ci < 90; ci++ { // 90 single-box clusters -> words > 1
-		k := 1 + r.Intn(d)
-		dims := make([]uint8, 0, k)
-		for _, di := range r.Perm(d)[:k] {
-			dims = append(dims, uint8(di))
-		}
-		for i := 1; i < len(dims); i++ {
-			for j := i; j > 0 && dims[j-1] > dims[j]; j-- {
-				dims[j-1], dims[j] = dims[j], dims[j-1]
-			}
-		}
-		lo := make([]uint8, k)
-		hi := make([]uint8, k)
-		for x := range lo {
-			a, b := r.Intn(xi), r.Intn(xi)
-			if a > b {
-				a, b = b, a
-			}
-			lo[x], hi[x] = uint8(a), uint8(b)
-		}
-		cs = append(cs, cluster.Cluster{Dims: dims, Boxes: []cluster.Box{{BinLo: lo, BinHi: hi}}})
-	}
-	ix := mustIndex(t, g, cs)
-	if ix.Boxes() <= 64 {
-		t.Fatalf("model has %d boxes, the regression needs a multi-word bitset", ix.Boxes())
-	}
-	const n = 64*40 + 23
-	flat := make([]float64, n*d)
-	for i := range flat {
-		flat[i] = r.Float64()
-	}
-	want := make([]int32, n)
-	scratch := ix.Scratch()
-	for i := 0; i < n; i++ {
-		var err error
-		want[i], err = ix.AssignRecord(flat[i*d:(i+1)*d], scratch)
-		if err != nil {
-			t.Fatal(err)
-		}
-	}
-	src := &dataset.Matrix{D: d, Values: flat}
-	for _, workers := range []int{2, 4, 7} {
-		labels, err := ix.AssignSource(src, 1000, workers) // 1000 % 64 != 0
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := range want {
-			if labels[i] != want[i] {
-				t.Fatalf("workers=%d: record %d labeled %d, want %d", workers, i, labels[i], want[i])
-			}
 		}
 	}
 }
@@ -569,8 +494,8 @@ func TestFittedModelMatchesEngineAssign(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := ix.AssignSource(m, 512, 2)
-	if err != nil {
+	got := make([]int32, m.NumRecords())
+	if err := ix.AssignChunk(m.Values, got, ix.Scratch()); err != nil {
 		t.Fatal(err)
 	}
 	if len(got) != len(want) {

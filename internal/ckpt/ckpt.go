@@ -470,11 +470,15 @@ func (d *dec) u64() uint64 {
 func (d *dec) f64() float64 { return math.Float64frombits(d.u64()) }
 
 // count reads a u32 element count and rejects values that could not
-// fit in the remaining frame at minBytes bytes per element.
+// fit in the remaining frame at minBytes bytes per element. A rejected
+// count reads as 0, so callers may size allocations by it.
 func (d *dec) count(minBytes int) int {
 	n := int(d.u32())
 	if d.err == nil && int64(n)*int64(minBytes) > int64(len(d.buf)-d.off) {
 		d.err = corruptf("%s frame: element count %d at byte %d exceeds the remaining frame", d.frame, n, d.off-4)
+	}
+	if d.err != nil {
+		return 0
 	}
 	return n
 }

@@ -73,10 +73,9 @@ func equalStrings(a, b []string) bool {
 // closure holds (every face of a dense unit is dense), so pMAFIA's
 // any-(k-2)-share join and CLIQUE's Apriori prefix join must identify
 // exactly the same dense units and report exactly the same clusters —
-// for every processor count, chunk size, and prefetch setting. The data
-// is read out of core from a shared .pmaf file, so the comparison also
-// pins the whole diskio pipeline (CRC frames, range scans, double
-// buffering) under the engines.
+// for every processor count and chunk size. The data is read out of
+// core from a shared .pmaf file, so the comparison also pins the
+// diskio pipeline (CRC frames, range scans) under the engines.
 func TestDifferentialMAFIAvsCLIQUE(t *testing.T) {
 	m, _, err := datagen.Generate(datagen.Spec{
 		Dims: 6, Records: 4000, Seed: 77,
@@ -111,49 +110,41 @@ func TestDifferentialMAFIAvsCLIQUE(t *testing.T) {
 
 	for _, p := range []int{1, 2, 4} {
 		for _, chunk := range []int{512, 1333} {
-			for _, prefetch := range []bool{false, true} {
-				name := fmt.Sprintf("p=%d/chunk=%d/prefetch=%v", p, chunk, prefetch)
-				t.Run(name, func(t *testing.T) {
-					f, err := diskio.Open(path)
-					if err != nil {
-						t.Fatal(err)
-					}
-					f.SetPrefetch(prefetch)
-					shards := fileShards(f, p)
+			name := fmt.Sprintf("p=%d/chunk=%d", p, chunk)
+			t.Run(name, func(t *testing.T) {
+				f, err := diskio.Open(path)
+				if err != nil {
+					t.Fatal(err)
+				}
+				shards := fileShards(f, p)
 
-					mres, err := mafia.RunParallel(shards, nil, mafia.Config{
-						Grid: mafia.UniformGrid, UniformBins: bins, UniformTau: tau,
-						ChunkRecords: chunk,
-					}, sp2.Config{Procs: p})
-					if err != nil {
-						t.Fatal(err)
-					}
-					cres, err := RunParallel(shards, nil, Config{
-						Bins: bins, Tau: tau, ChunkRecords: chunk,
-					}, sp2.Config{Procs: p})
-					if err != nil {
-						t.Fatal(err)
-					}
+				mres, err := mafia.RunParallel(shards, nil, mafia.Config{
+					Grid: mafia.UniformGrid, UniformBins: bins, UniformTau: tau,
+					ChunkRecords: chunk,
+				}, sp2.Config{Procs: p})
+				if err != nil {
+					t.Fatal(err)
+				}
+				cres, err := RunParallel(shards, nil, Config{
+					Bins: bins, Tau: tau, ChunkRecords: chunk,
+				}, sp2.Config{Procs: p})
+				if err != nil {
+					t.Fatal(err)
+				}
 
-					if got := denseSignature(mres); !equalStrings(got, refDense) {
-						t.Errorf("pMAFIA dense units diverged from reference:\n got %v\nwant %v", got, refDense)
-					}
-					if got := denseSignature(cres); !equalStrings(got, refDense) {
-						t.Errorf("CLIQUE dense units diverged from reference:\n got %v\nwant %v", got, refDense)
-					}
-					if got := clusterSignature(mres); !equalStrings(got, refClusters) {
-						t.Errorf("pMAFIA clusters diverged from reference:\n got %v\nwant %v", got, refClusters)
-					}
-					if got := clusterSignature(cres); !equalStrings(got, refClusters) {
-						t.Errorf("CLIQUE clusters diverged from reference:\n got %v\nwant %v", got, refClusters)
-					}
-					if prefetch {
-						if st := f.StatsSnapshot(); st.Prefetched == 0 {
-							t.Error("prefetch was enabled but no chunk was prefetched")
-						}
-					}
-				})
-			}
+				if got := denseSignature(mres); !equalStrings(got, refDense) {
+					t.Errorf("pMAFIA dense units diverged from reference:\n got %v\nwant %v", got, refDense)
+				}
+				if got := denseSignature(cres); !equalStrings(got, refDense) {
+					t.Errorf("CLIQUE dense units diverged from reference:\n got %v\nwant %v", got, refDense)
+				}
+				if got := clusterSignature(mres); !equalStrings(got, refClusters) {
+					t.Errorf("pMAFIA clusters diverged from reference:\n got %v\nwant %v", got, refClusters)
+				}
+				if got := clusterSignature(cres); !equalStrings(got, refClusters) {
+					t.Errorf("CLIQUE clusters diverged from reference:\n got %v\nwant %v", got, refClusters)
+				}
+			})
 		}
 	}
 }

@@ -10,16 +10,13 @@
 //	POST /assign?model=<name>.pmfm
 //	     Body: CSV records (default; numeric columns, optional
 //	     header), answered with JSON labels — or, with Content-Type
-//	     application/octet-stream, row-major little-endian float64s,
-//	     answered with little-endian int32 labels — or, with
-//	     Content-Type application/x-pmafia-assign, one framed binary
-//	     request (see frame.go) decoded straight into the batch
-//	     kernel and answered with little-endian int32 labels. A
-//	     label is the cluster index in the model's cluster list, -1
-//	     for outliers.
+//	     application/x-pmafia-assign, one framed binary request (see
+//	     frame.go) decoded straight into the batch kernel and
+//	     answered with little-endian int32 labels. A label is the
+//	     cluster index in the model's cluster list, -1 for outliers.
 //	POST /ingest?refit=1
 //	     (only with Config.IngestModel) streaming ingest: the body's
-//	     records — CSV, raw float64s, or one PMAS frame — are appended
+//	     records — CSV or one PMAS frame — are appended
 //	     to the in-process ingest.Ingester, whose refits (triggered by
 //	     record count or the refit query parameter) write the next
 //	     generation of the ingest model into the model directory.
@@ -102,8 +99,6 @@ type Config struct {
 	CacheCap int           // max models resident at once
 	Timeout  time.Duration // per-request read/write timeout
 	Inflight int           // max concurrent /assign requests
-	Chunk    int           // records per assignment batch
-	Workers  int           // fan-out goroutines per assignment
 	MaxBody  int64         // request body cap in bytes
 	// AccessLog receives one structured JSON line per request. nil
 	// disables access logging. The daemon serializes writes and flushes
@@ -165,12 +160,6 @@ func (c *Config) fill() {
 	}
 	if c.Inflight < 1 {
 		c.Inflight = 8
-	}
-	if c.Chunk < 1 {
-		c.Chunk = 8192
-	}
-	if c.Workers < 1 {
-		c.Workers = 1
 	}
 	if c.MaxBody <= 0 {
 		c.MaxBody = 1 << 30
@@ -524,10 +513,9 @@ type assignResponse struct {
 }
 
 // assign labels the records in the request body against the named
-// model. A text/csv body (the default) yields a JSON response; an
-// application/octet-stream body of little-endian float64s (row-major,
-// the model's dimensionality) yields a stream of little-endian int32
-// labels.
+// model with one AssignChunk call. A text/csv body (the default)
+// yields a JSON response; a PMAS frame yields a stream of
+// little-endian int32 labels.
 func (d *Daemon) assign(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		http.Error(w, "POST only", http.StatusMethodNotAllowed)
@@ -573,19 +561,8 @@ func (d *Daemon) assign(w http.ResponseWriter, r *http.Request) {
 
 	decodeStart := time.Now()
 	body := http.MaxBytesReader(w, r.Body, d.cfg.MaxBody)
-	ct := r.Header.Get("Content-Type")
-	binaryIn := strings.HasPrefix(ct, "application/octet-stream")
-	frameIn := strings.HasPrefix(ct, ContentTypeFrame)
-	var src dataset.Source
-	var frameVals []float64
-	switch {
-	case frameIn:
-		frameVals, err = decodeFrame(body, cx.ix.Dims(), d.cfg.MaxBody)
-	case binaryIn:
-		src, err = binaryMatrix(body, cx.ix.Dims())
-	default:
-		src, _, err = dataset.ReadCSV(body)
-	}
+	frameIn := strings.HasPrefix(r.Header.Get("Content-Type"), ContentTypeFrame)
+	vals, err := decodeRecords(body, frameIn, cx.ix.Dims(), d.cfg.MaxBody)
 	decodeEnd := time.Now()
 	st.decodeSeconds = decodeEnd.Sub(decodeStart).Seconds()
 	if frameIn {
@@ -603,17 +580,15 @@ func (d *Daemon) assign(w http.ResponseWriter, r *http.Request) {
 	}
 	if frameIn {
 		d.rec.Add(0, obs.CtrAssignFrames, 1)
-		src = &dataset.Matrix{D: cx.ix.Dims(), Values: frameVals}
 	}
 	assignStart := time.Now()
-	labels, err := cx.ix.AssignSource(src, d.cfg.Chunk, d.cfg.Workers)
+	labels := make([]int32, len(vals)/cx.ix.Dims())
+	err = cx.ix.AssignChunk(vals, labels, cx.ix.Scratch())
 	assignEnd := time.Now()
 	st.assignSeconds = assignEnd.Sub(assignStart).Seconds()
 	st.stage("kernel", assignStart, assignEnd)
 	if err != nil {
-		// The only assignment failure on an in-memory source is a
-		// dimensionality mismatch — a client error.
-		http.Error(w, err.Error(), http.StatusBadRequest)
+		http.Error(w, err.Error(), http.StatusInternalServerError)
 		return
 	}
 	st.records = len(labels)
@@ -626,7 +601,7 @@ func (d *Daemon) assign(w http.ResponseWriter, r *http.Request) {
 		st.encodeSeconds = encodeEnd.Sub(encodeStart).Seconds()
 		st.stage("encode", encodeStart, encodeEnd)
 	}()
-	if binaryIn || frameIn {
+	if frameIn {
 		w.Header().Set("Content-Type", "application/octet-stream")
 		buf := make([]byte, 4*len(labels))
 		for i, l := range labels {
@@ -649,22 +624,22 @@ func (d *Daemon) assign(w http.ResponseWriter, r *http.Request) {
 	json.NewEncoder(w).Encode(resp)
 }
 
-// binaryMatrix decodes a row-major little-endian float64 body into an
-// in-memory matrix of d-dimensional records.
-func binaryMatrix(r io.Reader, d int) (*dataset.Matrix, error) {
-	raw, err := io.ReadAll(r)
+// decodeRecords reads a request body of dims-dimensional records, the
+// shared decoder of /assign and /ingest: one PMAS frame when frame is
+// set, CSV otherwise. The frame decoder checks the header's dims; a
+// CSV body must have exactly dims columns, because the batch kernel
+// only sees a flat value slice and would otherwise relabel a narrower
+// body as fewer, wider records.
+func decodeRecords(r io.Reader, frame bool, dims int, maxBytes int64) ([]float64, error) {
+	if frame {
+		return decodeFrame(r, dims, maxBytes)
+	}
+	m, _, err := dataset.ReadCSV(r)
 	if err != nil {
 		return nil, err
 	}
-	if len(raw)%8 != 0 {
-		return nil, fmt.Errorf("binary body of %d bytes is not a whole number of float64s", len(raw))
+	if m.D != dims {
+		return nil, fmt.Errorf("body has %d-column records, want %d", m.D, dims)
 	}
-	vals := make([]float64, len(raw)/8)
-	for i := range vals {
-		vals[i] = math.Float64frombits(binary.LittleEndian.Uint64(raw[8*i:]))
-	}
-	if len(vals)%d != 0 {
-		return nil, fmt.Errorf("%d values do not divide into %d-dim records", len(vals), d)
-	}
-	return &dataset.Matrix{D: d, Values: vals}, nil
+	return m.Values, nil
 }

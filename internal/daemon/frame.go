@@ -10,12 +10,11 @@ package daemon
 //	12      4     uint32 records
 //	16      8*dims*records  row-major little-endian float64 values
 //
-// Unlike the raw octet-stream path (which buffers the whole body and
-// then converts), the header declares the payload size up front, so
-// the decoder allocates the float64 output once and streams the body
-// into it through a small fixed staging buffer — no intermediate
-// whole-body copy — and a hostile length can be rejected before any
-// payload is read. Every malformed input maps to a typed error below;
+// The header declares the payload size up front, so the decoder
+// allocates the float64 output once and streams the body into it
+// through a small fixed staging buffer — no intermediate whole-body
+// copy — and a hostile length can be rejected before any payload is
+// read. Every malformed input maps to a typed error below;
 // the decoder never panics and never reads past the declared payload.
 
 import (

@@ -25,7 +25,7 @@ func frameBody(t *testing.T, dims int, vals []float64) []byte {
 
 // TestAssignFrameMatchesOracle drives the framed binary protocol
 // end-to-end and checks the labels agree with the engine's linear
-// oracle, like the CSV and octet-stream paths do.
+// oracle, like the CSV path does.
 func TestAssignFrameMatchesOracle(t *testing.T) {
 	dir := t.TempDir()
 	res, m := fitModel(t, dir, "a.pmfm", 21)

@@ -4,9 +4,8 @@ package daemon
 // daemon owns an ingest.Ingester writing into the model directory:
 //
 //	POST /ingest
-//	     Body: records in any of the /assign encodings — CSV (default),
-//	     raw little-endian float64s (application/octet-stream), or one
-//	     PMAS frame (application/x-pmafia-assign). The records are
+//	     Body: records in either /assign encoding — CSV (default) or
+//	     one PMAS frame (application/x-pmafia-assign). The records are
 //	     appended to the stream; a refit is triggered in the background
 //	     once Config.RefitEvery records accumulate.
 //	POST /ingest?refit=1
@@ -22,12 +21,9 @@ import (
 	"bufio"
 	"encoding/json"
 	"errors"
-	"fmt"
 	"io"
 	"net/http"
 	"strings"
-
-	"pmafia/internal/dataset"
 )
 
 // ingestResponse is the POST /ingest reply.
@@ -63,26 +59,8 @@ func (d *Daemon) ingestHandler(w http.ResponseWriter, r *http.Request) {
 	// An absent body is legal for a bare refit trigger; anything else
 	// must decode to whole dims-dimensional records.
 	if _, err := body.Peek(1); err != io.EOF {
-		var vals []float64
-		ct := r.Header.Get("Content-Type")
-		switch {
-		case strings.HasPrefix(ct, ContentTypeFrame):
-			vals, err = decodeFrame(body, dims, d.cfg.MaxBody)
-		case strings.HasPrefix(ct, "application/octet-stream"):
-			var m *dataset.Matrix
-			if m, err = binaryMatrix(body, dims); err == nil {
-				vals = m.Values
-			}
-		default:
-			var m *dataset.Matrix
-			if m, _, err = dataset.ReadCSV(body); err == nil {
-				if m.D != dims {
-					err = fmt.Errorf("ingest stream wants %d-dim records, body has %d", dims, m.D)
-				} else {
-					vals = m.Values
-				}
-			}
-		}
+		frameIn := strings.HasPrefix(r.Header.Get("Content-Type"), ContentTypeFrame)
+		vals, err := decodeRecords(body, frameIn, dims, d.cfg.MaxBody)
 		if err == nil && len(vals) > 0 {
 			appended = len(vals) / dims
 			err = d.ing.Append(vals, appended)

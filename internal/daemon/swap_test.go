@@ -172,7 +172,6 @@ func TestSwapUnderLoad(t *testing.T) {
 		ModelDir:  dir,
 		SwapCheck: time.Millisecond,
 		Inflight:  16,
-		Chunk:     128,
 	})
 	defer d.Shutdown(context.Background())
 

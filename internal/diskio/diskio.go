@@ -354,11 +354,6 @@ type Stats struct {
 	// verification.
 	Retries     int64
 	Corruptions int64
-	// Prefetched counts chunks read ahead by prefetching scanners;
-	// PrefetchStalls counts Next calls that had to wait because the
-	// background reader had not finished the next chunk yet.
-	Prefetched     int64
-	PrefetchStalls int64
 }
 
 // File is an opened record file; it implements dataset.Source with
@@ -378,7 +373,6 @@ type File struct {
 	plan       *faults.Plan
 	maxRetries int
 	backoff    time.Duration
-	prefetch   bool
 }
 
 // SetRecorder attaches an observability recorder: every chunk read by
@@ -393,16 +387,6 @@ func (f *File) SetRecorder(rec *obs.Recorder) { f.rec = rec }
 // read by scanners opened after the call (see internal/faults). A nil
 // plan detaches.
 func (f *File) SetFaults(p *faults.Plan) { f.plan = p }
-
-// SetPrefetch enables double-buffered prefetching for scanners opened
-// after the call: a background goroutine reads chunk k+1 while the
-// caller consumes chunk k, so I/O overlaps compute. CRC validation,
-// retry/backoff, and fault injection all still apply — errors simply
-// surface on the Next call that would have consumed the failed chunk.
-func (f *File) SetPrefetch(on bool) { f.prefetch = on }
-
-// Prefetch reports whether scanners prefetch in the background.
-func (f *File) Prefetch() bool { return f.prefetch }
 
 // SetRetryPolicy overrides the transient-read retry budget: up to
 // maxRetries re-reads after the first failure, sleeping backoff,
@@ -561,12 +545,10 @@ func (f *File) Domains() []dataset.Range {
 // this File.
 func (f *File) StatsSnapshot() Stats {
 	return Stats{
-		BytesRead:      atomic.LoadInt64(&f.stats.BytesRead),
-		Reads:          atomic.LoadInt64(&f.stats.Reads),
-		Retries:        atomic.LoadInt64(&f.stats.Retries),
-		Corruptions:    atomic.LoadInt64(&f.stats.Corruptions),
-		Prefetched:     atomic.LoadInt64(&f.stats.Prefetched),
-		PrefetchStalls: atomic.LoadInt64(&f.stats.PrefetchStalls),
+		BytesRead:   atomic.LoadInt64(&f.stats.BytesRead),
+		Reads:       atomic.LoadInt64(&f.stats.Reads),
+		Retries:     atomic.LoadInt64(&f.stats.Retries),
+		Corruptions: atomic.LoadInt64(&f.stats.Corruptions),
 	}
 }
 
@@ -580,8 +562,6 @@ func (f *File) Scan(chunkRecords int) dataset.Scanner {
 // process a contiguous share of a shared file. On v2 files the scan
 // verifies the checksum of every frame it fully traverses (a range
 // starting mid-frame is verified from the next frame boundary on).
-// With SetPrefetch enabled the returned scanner reads ahead in a
-// background goroutine (see prefetchScanner).
 func (f *File) ScanRange(lo, hi, chunkRecords int) dataset.Scanner {
 	if chunkRecords <= 0 {
 		chunkRecords = 1
@@ -596,20 +576,16 @@ func (f *File) ScanRange(lo, hi, chunkRecords int) dataset.Scanner {
 	if err != nil {
 		return &fileScanner{err: err}
 	}
-	s := &fileScanner{
+	return &fileScanner{
 		f:        f,
 		h:        h,
 		next:     lo,
 		end:      hi,
+		vals:     make([]float64, chunkRecords*f.d),
+		raw:      make([]byte, chunkRecords*f.d*8),
 		chunkR:   chunkRecords,
 		crcValid: f.version == version2 && f.frameRecs > 0 && lo%f.frameRecs == 0,
 	}
-	if f.prefetch {
-		return newPrefetchScanner(s)
-	}
-	s.vals = make([]float64, chunkRecords*f.d)
-	s.raw = make([]byte, chunkRecords*f.d*8)
-	return s
 }
 
 type fileScanner struct {
@@ -624,20 +600,14 @@ type fileScanner struct {
 	crc      uint32 // running CRC32C of the current checksum frame
 	crcValid bool   // false until the scan aligns with a frame boundary
 	err      error
-	// cancel, when non-nil, interrupts retry-backoff sleeps; the
-	// prefetcher arms it so Close never waits out a retry schedule.
-	cancel <-chan struct{}
 }
 
-// fill reads the next chunk into raw/vals (each sized for chunkR
-// records) and returns its record count; 0 means the range is
-// exhausted. It is the single source of the scan's read, retry,
-// checksum, and decode behavior — Next and the prefetcher's background
-// reader both drive it, so the pipelined path cannot drift from the
-// serial one.
-func (s *fileScanner) fill(raw []byte, vals []float64) (int, error) {
-	if s.next >= s.end {
-		return 0, nil
+// Next reads the next chunk into the scanner's buffers: read with
+// retry, verify the checksum frames it crosses, decode. It returns
+// (nil, 0) at the end of the range and on the first error (see Err).
+func (s *fileScanner) Next() ([]float64, int) {
+	if s.err != nil || s.next >= s.end {
+		return nil, 0
 	}
 	n := s.chunkR
 	if n > s.end-s.next {
@@ -645,8 +615,10 @@ func (s *fileScanner) fill(raw []byte, vals []float64) (int, error) {
 	}
 	nb := n * s.f.d * 8
 	off := s.f.dataOff + int64(s.next)*int64(s.f.d)*8
+	raw, vals := s.raw[:nb], s.vals[:n*s.f.d]
 	if err := s.readChunk(raw, off, nb); err != nil {
-		return 0, err
+		s.err = err
+		return nil, 0
 	}
 	atomic.AddInt64(&s.f.stats.BytesRead, int64(nb))
 	atomic.AddInt64(&s.f.stats.Reads, 1)
@@ -655,35 +627,21 @@ func (s *fileScanner) fill(raw []byte, vals []float64) (int, error) {
 		s.f.rec.AddGlobal(obs.CtrDiskBytes, int64(nb))
 	}
 	if s.f.version == version2 {
-		if err := s.checkFrames(raw[:nb], s.next, n); err != nil {
+		if err := s.checkFrames(raw, s.next, n); err != nil {
 			atomic.AddInt64(&s.f.stats.Corruptions, 1)
 			if s.f.rec != nil {
 				s.f.rec.AddGlobal(obs.CtrDiskCorruptions, 1)
 			}
-			return 0, err
+			s.err = err
+			return nil, 0
 		}
 	}
-	for i := 0; i < n*s.f.d; i++ {
+	for i := range vals {
 		vals[i] = math.Float64frombits(binary.LittleEndian.Uint64(raw[8*i:]))
 	}
 	s.next += n
 	s.chunkIdx++
-	return n, nil
-}
-
-func (s *fileScanner) Next() ([]float64, int) {
-	if s.err != nil {
-		return nil, 0
-	}
-	n, err := s.fill(s.raw, s.vals)
-	if err != nil {
-		s.err = err
-		return nil, 0
-	}
-	if n == 0 {
-		return nil, 0
-	}
-	return s.vals[:n*s.f.d], n
+	return vals, n
 }
 
 // readChunk fills raw[:nb] from offset off, retrying transient
@@ -699,9 +657,7 @@ func (s *fileScanner) readChunk(raw []byte, off int64, nb int) error {
 			if s.f.rec != nil {
 				s.f.rec.AddGlobal(obs.CtrDiskRetries, 1)
 			}
-			if !s.sleepBackoff(s.f.backoff << (attempt - 1)) {
-				break // scanner closed mid-retry; stop with lastErr
-			}
+			time.Sleep(s.f.backoff << (attempt - 1))
 		}
 		err := s.readOnce(raw, off, nb)
 		if err == nil {
@@ -722,23 +678,6 @@ func (s *fileScanner) readChunk(raw []byte, off int64, nb int) error {
 		RecHi:    s.next + nb/(8*s.f.d),
 		Attempts: s.f.maxRetries + 1,
 		Err:      lastErr,
-	}
-}
-
-// sleepBackoff sleeps d, or returns false early when the scanner's
-// cancel channel closes (a prefetching scanner being Closed).
-func (s *fileScanner) sleepBackoff(d time.Duration) bool {
-	if s.cancel == nil {
-		time.Sleep(d)
-		return true
-	}
-	t := time.NewTimer(d)
-	defer t.Stop()
-	select {
-	case <-t.C:
-		return true
-	case <-s.cancel:
-		return false
 	}
 }
 

@@ -186,6 +186,56 @@ func TestShareBounds(t *testing.T) {
 	}
 }
 
+// TestConcurrentRangeScans runs one scanner per simulated rank over
+// disjoint shares of one File concurrently — the Real-mode shape — and
+// checks every record is seen exactly once, by value.
+func TestConcurrentRangeScans(t *testing.T) {
+	path := tmpPath(t, "ranks.pmaf")
+	const n, d, p = 503, 2, 4
+	if err := WriteSource(path, makeMatrix(n, d)); err != nil {
+		t.Fatal(err)
+	}
+	f, err := Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	seen := make([][]int, p) // rank -> record indexes, by first value
+	errs := make(chan error, p)
+	for r := 0; r < p; r++ {
+		go func(r int) {
+			lo, hi := ShareBounds(n, r, p)
+			sc := f.ScanRange(lo, hi, 37)
+			defer sc.Close()
+			for {
+				chunk, cn := sc.Next()
+				if cn == 0 {
+					break
+				}
+				for i := 0; i < cn; i++ {
+					seen[r] = append(seen[r], int(chunk[i*d])/d)
+				}
+			}
+			errs <- sc.Err()
+		}(r)
+	}
+	for r := 0; r < p; r++ {
+		if err := <-errs; err != nil {
+			t.Fatal(err)
+		}
+	}
+	hits := make([]int, n)
+	for _, recs := range seen {
+		for _, i := range recs {
+			hits[i]++
+		}
+	}
+	for i, h := range hits {
+		if h != 1 {
+			t.Fatalf("record %d seen %d times, want once", i, h)
+		}
+	}
+}
+
 func TestStage(t *testing.T) {
 	sharedPath := tmpPath(t, "shared.pmaf")
 	if err := WriteSource(sharedPath, makeMatrix(10, 2)); err != nil {

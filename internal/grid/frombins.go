@@ -39,18 +39,20 @@ func (g *Grid) Spec() []DimSpec {
 // contiguously — true of every grid the builders produce — because
 // the unit-to-bin lookup BinOf consults is rebuilt from the bins'
 // unit ranges. n is the global record count the thresholds were
-// computed against.
+// computed against. Counts from a stored spec are untrusted, so they
+// are checked against the engine's limits (255 dims, MaxBins,
+// MaxFineUnits) before any table is allocated.
 func FromBins(dims []DimSpec, n int64) (*Grid, error) {
-	if len(dims) == 0 {
-		return nil, fmt.Errorf("grid: no dimensions")
+	if len(dims) == 0 || len(dims) > 255 {
+		return nil, fmt.Errorf("grid: %d dimensions out of [1,255]", len(dims))
 	}
 	g := &Grid{Dims: make([]Dim, len(dims)), N: n}
 	for i, s := range dims {
 		if err := checkBinCount(i, len(s.Bins)); err != nil {
 			return nil, err
 		}
-		if s.FineUnits < 1 {
-			return nil, fmt.Errorf("grid: dim %d: %d fine units", i, s.FineUnits)
+		if s.FineUnits < 1 || s.FineUnits > MaxFineUnits {
+			return nil, fmt.Errorf("grid: dim %d: %d fine units out of [1,%d]", i, s.FineUnits, MaxFineUnits)
 		}
 		if !(s.Domain.Hi > s.Domain.Lo) {
 			return nil, fmt.Errorf("grid: dim %d: empty domain [%v, %v)", i, s.Domain.Lo, s.Domain.Hi)

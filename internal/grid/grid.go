@@ -19,6 +19,13 @@ import (
 // encoding of units (bin indices must fit a uint8).
 const MaxBins = 255
 
+// MaxFineUnits caps a dimension's fine-histogram resolution. Grids and
+// assignment indexes hold one table entry per fine unit, so a stored
+// count must be bounded before it is allocated. The engine's automatic
+// choice is at most 1000, and the largest CLIQUE bin-count LCM in this
+// repository's experiments is 27,720.
+const MaxFineUnits = 1 << 20
+
 // BinCountError reports a requested or computed per-dimension bin count
 // that does not fit the one-byte bin encoding. Unit arrays, dedup keys,
 // and the population kernels all index bins with uint8, so a grid built

@@ -151,7 +151,7 @@ func (h *Hist) AddSourceParallel(src dataset.Source, chunkRecords, workers int) 
 	for w := range parts {
 		parts[w] = New(h.Domains, h.Units)
 	}
-	n, err := pool.Scan(src, chunkRecords, workers, func(w int, chunk []float64, lo, hi int) {
+	n, err := pool.Scan(src, chunkRecords, workers, 1, func(w int, chunk []float64, lo, hi int) {
 		parts[w].AddChunk(chunk[lo*len(h.Domains):hi*len(h.Domains)], hi-lo)
 	})
 	if err != nil {

@@ -149,17 +149,22 @@ func (c *Config) Validate(dims int) error {
 	if dims <= 0 || dims > 255 {
 		return fmt.Errorf("mafia: dimensionality %d out of [1,255] (unit encoding is one byte per dim)", dims)
 	}
-	if c.FineUnits < 0 {
-		return fmt.Errorf("mafia: FineUnits %d < 0", c.FineUnits)
-	}
 	// FineUnits == 0 means auto: the engine picks from the data size
-	// (min(1000, max(50, N/10))) once the record count is known.
+	// (min(1000, max(50, N/10))) once the record count is known. An
+	// explicit count above grid.MaxFineUnits would fit a model the
+	// model loader refuses.
+	if c.FineUnits < 0 || c.FineUnits > grid.MaxFineUnits {
+		return fmt.Errorf("mafia: FineUnits %d out of [0,%d]", c.FineUnits, grid.MaxFineUnits)
+	}
 	if c.Hist != nil {
 		if len(c.Hist.Domains) != dims {
 			return fmt.Errorf("mafia: precomputed histogram spans %d dims, data has %d", len(c.Hist.Domains), dims)
 		}
 		if c.Hist.N <= 0 {
 			return fmt.Errorf("mafia: precomputed histogram holds %d records", c.Hist.N)
+		}
+		if c.Hist.Units > grid.MaxFineUnits {
+			return fmt.Errorf("mafia: precomputed histogram has %d fine units, the cap is %d", c.Hist.Units, grid.MaxFineUnits)
 		}
 	}
 	if c.ChunkRecords == 0 {

@@ -4,7 +4,9 @@ import (
 	"errors"
 	"testing"
 
+	"pmafia/internal/dataset"
 	"pmafia/internal/grid"
+	"pmafia/internal/histogram"
 )
 
 func TestValidateRejectsOverwideUniformBins(t *testing.T) {
@@ -40,5 +42,23 @@ func TestValidateRejectsOverwideAdaptiveEquiSplit(t *testing.T) {
 	var bce *grid.BinCountError
 	if err := cfg.Validate(4); !errors.As(err, &bce) {
 		t.Fatalf("EquiSplit=300: got %T (%v), want *grid.BinCountError", err, err)
+	}
+}
+
+func TestValidateRejectsOverwideFineUnits(t *testing.T) {
+	cfg := Config{FineUnits: grid.MaxFineUnits + 1}
+	if err := cfg.Validate(4); err == nil {
+		t.Fatalf("FineUnits=%d accepted; the model loader refuses it", cfg.FineUnits)
+	}
+	cfg = Config{FineUnits: grid.MaxFineUnits}
+	if err := cfg.Validate(4); err != nil {
+		t.Errorf("FineUnits at the cap: %v", err)
+	}
+	// Ingest refits hand the engine a precomputed histogram instead.
+	h := histogram.New([]dataset.Range{{Lo: 0, Hi: 1}}, grid.MaxFineUnits+1)
+	h.N = 1
+	cfg = Config{Hist: h}
+	if err := cfg.Validate(1); err == nil {
+		t.Fatalf("a %d-unit precomputed histogram was accepted", h.Units)
 	}
 }

@@ -348,7 +348,7 @@ func (c *counter) addSourceParallel(src dataset.Source, chunkRecords, workers in
 	for w := range scratches {
 		scratches[w] = c.newScratch(make([]int64, c.cdus.Len()))
 	}
-	n, err := pool.ScanOffsetAligned(src, chunkRecords, workers, blockRecords, func(w int, chunk []float64, _ int64, lo, hi int) {
+	n, err := pool.Scan(src, chunkRecords, workers, blockRecords, func(w int, chunk []float64, lo, hi int) {
 		c.addChunkInto(&scratches[w], chunk[lo*d:hi*d], hi-lo)
 	})
 	if err != nil {

@@ -18,8 +18,8 @@ import (
 var updateCritGolden = flag.Bool("update-golden", false, "rewrite the critical-path golden file")
 
 // runDiskInstrumented executes a seeded p-rank Sim run out of core
-// with prefetch and the worker pool on — the configuration that
-// exercises every counter emitter in the stack.
+// with the worker pool on — the configuration that exercises every
+// counter emitter in the stack.
 func runDiskInstrumented(t *testing.T, p int) (*Result, *obs.Recorder) {
 	t.Helper()
 	m, _ := genData(t, 6, 4000, 77, box(20, 45, 1, 3), box(55, 80, 0, 2, 4))
@@ -32,7 +32,6 @@ func runDiskInstrumented(t *testing.T, p int) (*Result, *obs.Recorder) {
 		t.Fatal(err)
 	}
 	rec := obs.New()
-	f.SetPrefetch(true)
 	f.SetRecorder(rec)
 	shards := make([]dataset.Source, p)
 	for r := 0; r < p; r++ {
@@ -49,7 +48,7 @@ func runDiskInstrumented(t *testing.T, p int) (*Result, *obs.Recorder) {
 }
 
 // TestAllEmittedCountersAreRegistered is the registry's closing seam:
-// a full out-of-core run with prefetch and workers must emit no
+// a full out-of-core run with workers must emit no
 // counter the obs registry does not know, so dashboards and the
 // telemetry exposition never meet an unnamed metric.
 func TestAllEmittedCountersAreRegistered(t *testing.T) {
@@ -65,7 +64,7 @@ func TestAllEmittedCountersAreRegistered(t *testing.T) {
 	}
 	// The run's configuration must have reached every emitter family.
 	for _, want := range []string{
-		obs.CtrDiskChunks, obs.CtrPrefetchChunks, obs.CtrPoolMergeNS,
+		obs.CtrDiskChunks, obs.CtrPoolMergeNS,
 		obs.CtrHistogramRecords, obs.CtrDenseUnits,
 		obs.CommCountCounter(obs.KindReduce),
 	} {

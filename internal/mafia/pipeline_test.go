@@ -23,13 +23,11 @@ func (s *rangeShard) Scan(chunk int) dataset.Scanner {
 }
 
 // TestPipelinedRunSimAccounting runs the full engine out of core on the
-// simulated machine with the prefetcher and worker pool on, and checks
-// the pipeline's observability contract: every chunk of every pass went
-// through the prefetcher, stalls never exceed prefetched chunks (a
-// stall is a wait *for* a prefetched chunk), and the clustering output
-// is identical to the serial-scan run. In Sim mode only stall time can
-// reach the virtual clock — fully hidden reads are free — so these
-// counters are the accounting surface of the compute/I-O overlap.
+// simulated machine with the worker pool on, and checks it against the
+// single-worker run: the clustering output is identical, the scan and
+// population counters are emitted, and the modeled parallel time is
+// positive. Reads run on the rank's own goroutine, so their time lands
+// on its Sim clock like any other compute.
 func TestPipelinedRunSimAccounting(t *testing.T) {
 	m, _ := genData(t, 5, 4000, 33, box(15, 45, 0, 2))
 	path := filepath.Join(t.TempDir(), "pipe.pmaf")
@@ -37,13 +35,12 @@ func TestPipelinedRunSimAccounting(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	run := func(prefetch bool, workers, p int, rec *obs.Recorder) *Result {
+	run := func(workers, p int, rec *obs.Recorder) *Result {
 		t.Helper()
 		f, err := diskio.Open(path)
 		if err != nil {
 			t.Fatal(err)
 		}
-		f.SetPrefetch(prefetch)
 		f.SetRecorder(rec)
 		shards := make([]dataset.Source, p)
 		for r := 0; r < p; r++ {
@@ -59,10 +56,10 @@ func TestPipelinedRunSimAccounting(t *testing.T) {
 		return res
 	}
 
-	serial := run(false, 0, 2, nil)
+	serial := run(0, 2, nil)
 
 	rec := obs.New()
-	piped := run(true, 2, 2, rec)
+	piped := run(2, 2, rec)
 
 	if len(piped.Clusters) != len(serial.Clusters) {
 		t.Fatalf("pipelined run found %d clusters, serial %d", len(piped.Clusters), len(serial.Clusters))
@@ -74,24 +71,14 @@ func TestPipelinedRunSimAccounting(t *testing.T) {
 		}
 	}
 
-	chunks := rec.Counter("diskio.chunks")
-	prefetched := rec.Counter("diskio.prefetch.chunks")
-	stalls := rec.Counter("diskio.prefetch.stalls")
-	if chunks == 0 {
+	if rec.Counter("diskio.chunks") == 0 {
 		t.Fatal("no chunks read")
-	}
-	if prefetched != chunks {
-		t.Errorf("prefetched %d of %d chunks; every read should go through the prefetcher", prefetched, chunks)
-	}
-	if stalls > prefetched {
-		t.Errorf("%d stalls for %d prefetched chunks", stalls, prefetched)
 	}
 	if rec.Counter("populate.records") == 0 {
 		t.Error("populate.records counter not emitted")
 	}
 
-	// The modeled parallel time must stay positive and finite — the
-	// overlap accounting cannot make a rank's virtual clock vanish.
+	// The modeled parallel time must stay positive and finite.
 	if !(piped.Seconds > 0) {
 		t.Errorf("pipelined Sim run reported %v seconds", piped.Seconds)
 	}

@@ -118,6 +118,15 @@ func WriteMeta(w io.Writer, res *mafia.Result, generation uint64) error {
 	if err != nil {
 		return err
 	}
+	if _, err := w.Write(header(payload, generation)); err != nil {
+		return err
+	}
+	_, err = w.Write(payload)
+	return err
+}
+
+// header builds the version-2 header of payload.
+func header(payload []byte, generation uint64) []byte {
 	hdr := make([]byte, headerLenV2)
 	copy(hdr, magic)
 	binary.LittleEndian.PutUint32(hdr[4:], Version)
@@ -125,11 +134,7 @@ func WriteMeta(w io.Writer, res *mafia.Result, generation uint64) error {
 	binary.LittleEndian.PutUint32(hdr[16:], crc32.Checksum(payload, castagnoli))
 	binary.LittleEndian.PutUint64(hdr[20:], generation)
 	binary.LittleEndian.PutUint64(hdr[28:], fingerprint(payload))
-	if _, err := w.Write(hdr); err != nil {
-		return err
-	}
-	_, err = w.Write(payload)
-	return err
+	return hdr
 }
 
 // Read deserializes a model written by Write, verifying the checksum
@@ -390,13 +395,17 @@ func (d *dec) u64() uint64 {
 func (d *dec) f64() float64 { return math.Float64frombits(d.u64()) }
 
 // count reads a u32 element count and rejects values that could not
-// fit in the remaining payload at minBytes bytes per element.
+// fit in the remaining payload at minBytes bytes per element. A
+// rejected count reads as 0, so callers may size allocations by it.
 func (d *dec) count(minBytes int) int {
 	n := int(d.u32())
 	// int64 math: on 32-bit platforms a hostile count times minBytes
 	// can wrap negative in int and slip past the guard.
 	if d.err == nil && int64(n)*int64(minBytes) > int64(len(d.buf)-d.off) {
 		d.err = corruptf("element count %d at byte %d exceeds the remaining payload", n, d.off-4)
+	}
+	if d.err != nil {
+		return 0
 	}
 	return n
 }

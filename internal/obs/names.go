@@ -19,9 +19,6 @@ const (
 	CtrDiskBytes       = "diskio.bytes"
 	CtrDiskRetries     = "diskio.retries"
 	CtrDiskCorruptions = "diskio.corruptions"
-	// diskio: double-buffered prefetch pipeline.
-	CtrPrefetchChunks = "diskio.prefetch.chunks"
-	CtrPrefetchStalls = "diskio.prefetch.stalls"
 	// pool: intra-rank worker pool.
 	CtrPoolMergeNS = "pool.merge.ns"
 	// mafia/clique engine phases.
@@ -237,8 +234,6 @@ var registered = map[string]bool{
 	CtrDiskBytes:          true,
 	CtrDiskRetries:        true,
 	CtrDiskCorruptions:    true,
-	CtrPrefetchChunks:     true,
-	CtrPrefetchStalls:     true,
 	CtrPoolMergeNS:        true,
 	CtrHistogramRecords:   true,
 	CtrCDUsGenerated:      true,
@@ -309,7 +304,7 @@ func IsRegisteredHistogram(name string) bool {
 
 // PromName mangles an obs counter or histogram name into the
 // Prometheus metric name it is exposed under:
-// "diskio.prefetch.chunks" -> "pmafia_diskio_prefetch_chunks". This is
+// "diskio.chunks" -> "pmafia_diskio_chunks". This is
 // the single name-mangling rule of the exposition — both the counter
 // and the histogram exporters in obs/serve call it, and a test locks
 // the mapping for every registered name.
@@ -347,13 +342,11 @@ func Registered() []string {
 
 // sampled marks the counters whose increments are also recorded as
 // time-stamped samples for the Chrome trace export ("C" counter
-// events), so pipelining behavior — prefetch progress, stalls, pool
-// merge cost — is visible in the trace viewer over time rather than
-// only as end-of-run totals. Keep this set small: every increment of a
-// sampled counter appends one sample.
+// events), so scan progress and pool merge cost are visible in the
+// trace viewer over time rather than only as end-of-run totals. Keep
+// this set small: every increment of a sampled counter appends one
+// sample.
 var sampled = map[string]bool{
-	CtrPrefetchChunks: true,
-	CtrPrefetchStalls: true,
-	CtrPoolMergeNS:    true,
-	CtrDiskChunks:     true,
+	CtrPoolMergeNS: true,
+	CtrDiskChunks:  true,
 }

@@ -5,7 +5,7 @@ import "testing"
 func TestCounterRegistry(t *testing.T) {
 	for _, name := range []string{
 		CtrDiskChunks, CtrDiskBytes, CtrDiskRetries, CtrDiskCorruptions,
-		CtrPrefetchChunks, CtrPrefetchStalls, CtrPoolMergeNS,
+		CtrPoolMergeNS,
 		CtrHistogramRecords, CtrCDUsGenerated, CtrCDUsDeduped,
 		CtrCDUsPopulated, CtrDenseUnits, CtrPopulateRecords,
 		CtrAssignFrames,
@@ -148,8 +148,6 @@ func TestPromNameMapping(t *testing.T) {
 		CtrDiskBytes:          "pmafia_diskio_bytes",
 		CtrDiskRetries:        "pmafia_diskio_retries",
 		CtrDiskCorruptions:    "pmafia_diskio_corruptions",
-		CtrPrefetchChunks:     "pmafia_diskio_prefetch_chunks",
-		CtrPrefetchStalls:     "pmafia_diskio_prefetch_stalls",
 		CtrPoolMergeNS:        "pmafia_pool_merge_ns",
 		CtrHistogramRecords:   "pmafia_histogram_records",
 		CtrCDUsGenerated:      "pmafia_cdus_generated",

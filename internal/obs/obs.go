@@ -269,8 +269,8 @@ func (r *Recorder) Add(rank int, name string, delta int64) {
 
 // AddGlobal bumps a machine-global counter (used by code that has no
 // rank identity, such as shared file scanners). Sampled counters record
-// their sample on the recorder's wall clock: global emitters (e.g. the
-// prefetch reader goroutine) have no rank clock, so in Sim mode these
+// their sample on the recorder's wall clock: global emitters (e.g. a
+// scanner over a shared file) have no rank clock, so in Sim mode these
 // samples are wall-anchored, not virtual — see the package README.
 func (r *Recorder) AddGlobal(name string, delta int64) {
 	if r == nil || delta == 0 {

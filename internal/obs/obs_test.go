@@ -115,7 +115,7 @@ func TestNilRecorderZeroAllocs(t *testing.T) {
 	allocs := testing.AllocsPerRun(200, func() {
 		s := r.Start(0, "x")
 		r.Add(0, CtrDiskChunks, 1)
-		r.AddGlobal(CtrPrefetchChunks, 1)
+		r.AddGlobal(CtrDiskBytes, 1)
 		r.Comm(0, KindReduce, 8, 0.1)
 		r.Collective(CollRecord{Kind: KindReduce})
 		s.End()

@@ -2,8 +2,7 @@
 // out-of-core pipeline: each chunk a scanner yields is sharded across a
 // fixed set of worker goroutines, every worker folds its record range
 // into worker-private tallies, and the caller merges the partials once
-// the scan ends. Combined with a prefetching scanner this keeps all
-// cores of a rank busy while the next chunk streams in from disk.
+// the scan ends.
 package pool
 
 import (
@@ -19,28 +18,14 @@ import (
 // chunk k+1 begin only after every worker finished chunk k, because
 // scanners may reuse the chunk buffer. With workers <= 1 the scan runs
 // inline with no goroutines. Returns the number of records scanned.
-func Scan(src dataset.Source, chunkRecords, workers int, fn func(w int, chunk []float64, lo, hi int)) (int64, error) {
-	return ScanOffset(src, chunkRecords, workers, func(w int, chunk []float64, _ int64, lo, hi int) {
-		fn(w, chunk, lo, hi)
-	})
-}
-
-// ScanOffset is Scan with the chunk's global record offset (the number
-// of records scanned before the chunk) passed to fn, for callers that
-// write per-record results into a shared output: the global ranges
-// [base+lo, base+hi) handed to the workers are disjoint, so such
-// writes are race-free.
-func ScanOffset(src dataset.Source, chunkRecords, workers int, fn func(w int, chunk []float64, base int64, lo, hi int)) (int64, error) {
-	return ScanOffsetAligned(src, chunkRecords, workers, 1, fn)
-}
-
-// ScanOffsetAligned is ScanOffset with worker shard boundaries rounded
-// up to multiples of align within each chunk (the final boundary stays
-// the chunk end). Batch-kernel callers use it so a kernel block is
-// never split across two workers: every shard but the chunk's last is
-// a whole number of blocks. Workers whose rounded range is empty skip
-// the chunk. align <= 1 reproduces ScanOffset's sharding exactly.
-func ScanOffsetAligned(src dataset.Source, chunkRecords, workers, align int, fn func(w int, chunk []float64, base int64, lo, hi int)) (int64, error) {
+//
+// Shard boundaries are rounded up to multiples of align within each
+// chunk (the final boundary stays the chunk end). Batch-kernel callers
+// pass their block size so a kernel block is never split across two
+// workers: every shard but the chunk's last is a whole number of
+// blocks. Workers whose rounded range is empty skip the chunk. align
+// <= 1 cuts the chunk into near-equal shards.
+func Scan(src dataset.Source, chunkRecords, workers, align int, fn func(w int, chunk []float64, lo, hi int)) (int64, error) {
 	if align < 1 {
 		align = 1
 	}
@@ -53,7 +38,7 @@ func ScanOffsetAligned(src dataset.Source, chunkRecords, workers, align int, fn 
 			if n == 0 {
 				break
 			}
-			fn(0, chunk, total, 0, n)
+			fn(0, chunk, 0, n)
 			total += int64(n)
 		}
 		return total, sc.Err()
@@ -61,7 +46,6 @@ func ScanOffsetAligned(src dataset.Source, chunkRecords, workers, align int, fn 
 
 	type job struct {
 		chunk  []float64
-		base   int64
 		lo, hi int
 	}
 	jobs := make([]chan job, workers)
@@ -75,7 +59,7 @@ func ScanOffsetAligned(src dataset.Source, chunkRecords, workers, align int, fn 
 			defer exitWG.Done()
 			for j := range ch {
 				if j.hi > j.lo {
-					fn(w, j.chunk, j.base, j.lo, j.hi)
+					fn(w, j.chunk, j.lo, j.hi)
 				}
 				chunkWG.Done()
 			}
@@ -99,7 +83,7 @@ func ScanOffsetAligned(src dataset.Source, chunkRecords, workers, align int, fn 
 		}
 		chunkWG.Add(workers)
 		for w := 0; w < workers; w++ {
-			jobs[w] <- job{chunk: chunk, base: total, lo: cut(w), hi: cut(w + 1)}
+			jobs[w] <- job{chunk: chunk, lo: cut(w), hi: cut(w + 1)}
 		}
 		chunkWG.Wait()
 		total += int64(n)

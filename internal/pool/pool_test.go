@@ -23,7 +23,7 @@ func TestScanCoversEveryRecordOnce(t *testing.T) {
 	for _, workers := range []int{0, 1, 2, 5, 64} {
 		for _, chunk := range []int{1, 10, 64, 1000} {
 			seen := make([]int32, n)
-			total, err := Scan(m, chunk, workers, func(w int, c []float64, lo, hi int) {
+			total, err := Scan(m, chunk, workers, 1, func(w int, c []float64, lo, hi int) {
 				for r := lo; r < hi; r++ {
 					atomic.AddInt32(&seen[int(c[r*d])], 1)
 				}
@@ -50,7 +50,7 @@ func TestScanWorkerPrivacy(t *testing.T) {
 	const n, d, workers = 2048, 2, 4
 	m := dataset.NewMatrix(n, d)
 	busy := make([]int32, workers)
-	_, err := Scan(m, 128, workers, func(w int, c []float64, lo, hi int) {
+	_, err := Scan(m, 128, workers, 1, func(w int, c []float64, lo, hi int) {
 		if w < 0 || w >= workers {
 			t.Errorf("worker index %d out of range", w)
 		}
@@ -67,13 +67,13 @@ func TestScanWorkerPrivacy(t *testing.T) {
 	}
 }
 
-// TestScanOffsetAlignedShardCuts checks the aligned sharding contract
+// TestScanAlignedShardCuts checks the aligned sharding contract
 // the batch-kernel path relies on: within each chunk, every shard
 // starts on an align multiple and ends on one (except the shard that
 // ends at the chunk end), shards never overlap, and every record is
 // still covered exactly once — including the degenerate shapes
 // (align > chunk, workers > records, tail chunks).
-func TestScanOffsetAlignedShardCuts(t *testing.T) {
+func TestScanAlignedShardCuts(t *testing.T) {
 	const d = 2
 	for _, n := range []int{1, 63, 64, 457, 1000} {
 		m := dataset.NewMatrix(n, d)
@@ -84,7 +84,7 @@ func TestScanOffsetAlignedShardCuts(t *testing.T) {
 			for _, chunk := range []int{50, 64, 97, 256} {
 				for _, align := range []int{1, 8, 64, 128} {
 					seen := make([]int32, n)
-					total, err := ScanOffsetAligned(m, chunk, workers, align, func(w int, c []float64, base int64, lo, hi int) {
+					total, err := Scan(m, chunk, workers, align, func(w int, c []float64, lo, hi int) {
 						chunkLen := len(c) / d
 						if lo%align != 0 {
 							t.Errorf("n=%d workers=%d chunk=%d align=%d: shard starts at %d", n, workers, chunk, align, lo)
@@ -93,7 +93,7 @@ func TestScanOffsetAlignedShardCuts(t *testing.T) {
 							t.Errorf("n=%d workers=%d chunk=%d align=%d: shard ends at %d (chunk is %d)", n, workers, chunk, align, hi, chunkLen)
 						}
 						for r := lo; r < hi; r++ {
-							atomic.AddInt32(&seen[int(base)+r], 1)
+							atomic.AddInt32(&seen[int(c[r*d])], 1)
 						}
 					})
 					if err != nil {
@@ -117,7 +117,7 @@ func TestScanOffsetAlignedShardCuts(t *testing.T) {
 func TestScanEmptySource(t *testing.T) {
 	m := dataset.NewMatrix(0, 4)
 	for _, workers := range []int{1, 3} {
-		total, err := Scan(m, 16, workers, func(int, []float64, int, int) {
+		total, err := Scan(m, 16, workers, 1, func(int, []float64, int, int) {
 			t.Error("callback on empty source")
 		})
 		if err != nil || total != 0 {

@@ -767,27 +767,6 @@ func (c *Comm) BcastBytes(root int, data []byte) []byte {
 	return append([]byte(nil), c.m.outB...)
 }
 
-// ChargeIO adds modeled I/O time to this rank's virtual clock in Sim
-// mode (e.g. to model slower disks); it is a no-op in Real mode.
-//
-// Pipelined (prefetched) I/O needs no explicit charge: a diskio
-// prefetch scanner reads in a background goroutine that runs freely
-// while the rank computes (holding the baton) or waits in a
-// collective, so only the time the rank spends *stalled* in
-// Scanner.Next — the non-overlapped remainder of the I/O — accrues to
-// its virtual clock. Fully hidden reads therefore cost the rank
-// nothing, exactly the overlap model the paper's compute-bound
-// scalability argument assumes; use ChargeIO only for I/O the machine
-// should account as unoverlapped and explicitly modeled.
-func (c *Comm) ChargeIO(seconds float64) {
-	if c.m.cfg.Mode != Sim || seconds <= 0 {
-		return
-	}
-	c.m.mu.Lock()
-	c.m.vclocks[c.rank] += seconds
-	c.m.mu.Unlock()
-}
-
 // AllreduceMaxF64 replaces x with the element-wise maximum across
 // ranks.
 func (c *Comm) AllreduceMaxF64(x []float64) {

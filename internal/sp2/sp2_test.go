@@ -290,23 +290,6 @@ func TestRealModeCollectives(t *testing.T) {
 	}
 }
 
-func TestChargeIO(t *testing.T) {
-	rep, err := Run(Config{Procs: 2}, func(c *Comm) error {
-		c.ChargeIO(0.25)
-		c.Barrier()
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.ParallelSeconds < 0.25 {
-		t.Errorf("ParallelSeconds = %v, want >= 0.25", rep.ParallelSeconds)
-	}
-	if rep.ParallelSeconds > 1 {
-		t.Errorf("ParallelSeconds = %v suspiciously large", rep.ParallelSeconds)
-	}
-}
-
 func TestStages(t *testing.T) {
 	cases := map[int]float64{1: 0, 2: 1, 3: 2, 4: 2, 5: 3, 8: 3, 16: 4}
 	for p, want := range cases {

@@ -1,6 +1,8 @@
 #!/bin/sh
 # Extended tier-1 gate: vet, formatting, and the full test suite under
 # the race detector. With -smoke it additionally runs the fuzz smoke
+# (every untrusted-input decoder: .pmaf files, checkpoints, .pmfm
+# models, CSV and framed request bodies; plus the population kernels)
 # and the self-test of the repository benchmark (perfbench/, its own Go
 # module; see perfbench/README.md). Run from the repository root (or
 # via `make check`, which passes -smoke).
@@ -95,9 +97,11 @@ echo "== recovery gate (crash resume + torn-checkpoint fallback)"
 go test -race -count=1 -run 'TestResumeDeterminismMatrix|TestTornCheckpointFallsBack' ./internal/supervisor
 
 if [ "$smoke" = 1 ]; then
-    echo "== fuzz smoke (FuzzOpen + FuzzDecode + FuzzAssignFrame + FuzzPopulateKernels, 10s each)"
+    echo "== fuzz smoke (FuzzOpen + FuzzDecode + FuzzLoad + FuzzReadCSV + FuzzAssignFrame + FuzzPopulateKernels, 10s each)"
     go test -run '^$' -fuzz '^FuzzOpen$' -fuzztime 10s ./internal/diskio
     go test -run '^$' -fuzz '^FuzzDecode$' -fuzztime 10s ./internal/ckpt
+    go test -run '^$' -fuzz '^FuzzLoad$' -fuzztime 10s ./internal/modelio
+    go test -run '^$' -fuzz '^FuzzReadCSV$' -fuzztime 10s ./internal/dataset
     go test -run '^$' -fuzz '^FuzzAssignFrame$' -fuzztime 10s ./internal/daemon
     go test -run '^$' -fuzz '^FuzzPopulateKernels$' -fuzztime 10s ./internal/mafia
 
