@@ -17,14 +17,16 @@
 //
 // Every request carries an X-Request-ID, lands in the per-route and
 // per-model latency histograms exposed at /metrics, and emits one
-// structured JSON access-log line (-access-log, default stderr). The
-// slowest requests are inspectable at /debug/slow; -pprof mounts
-// net/http/pprof under /debug/pprof/. With -trace-sample every
-// request builds a per-stage trace — head-sampled into a bounded
-// ring, with slow and non-2xx requests always retained — served as
-// Chrome trace_event JSON at /debug/trace and linked from /metrics
-// as OpenMetrics exemplars; -profile-dir adds periodic CPU/heap
-// pprof captures indexed at /debug/profiles. The daemon bounds concurrent
+// structured JSON access-log line (-access-log, default stderr). Its
+// per-stage record is offered to a bounded ring (-trace-ring per
+// class) that always keeps slow and non-2xx requests: the slowest are
+// inspectable at /debug/slow, and every retained record is served as
+// Chrome trace_event JSON at /debug/trace and linked from /metrics as
+// OpenMetrics exemplars. -trace-sample additionally head-samples
+// ordinary requests into the ring and propagates W3C traceparent
+// headers. -pprof mounts net/http/pprof under /debug/pprof/;
+// -profile-dir adds periodic CPU/heap pprof captures indexed at
+// /debug/profiles. The daemon bounds concurrent
 // assignment work (-max-inflight), times out slow requests (-timeout),
 // caps request bodies (-max-body), and shuts down gracefully on
 // SIGINT/SIGTERM: /readyz flips to 503, in-flight requests drain, and
@@ -58,10 +60,9 @@ func main() {
 	flag.IntVar(&cfg.IngestDims, "ingest-dims", 0, "dimensionality of the ingest stream (required with -ingest-model)")
 	flag.IntVar(&cfg.RefitEvery, "refit-every", 0, "pending ingest records that trigger a background refit (0: explicit ?refit=1 only)")
 	flag.StringVar(&accessLog, "access-log", "-", `access-log destination: "-" for stderr, "" to disable, or a file path (appended)`)
-	flag.IntVar(&cfg.SlowN, "slow", 16, "slowest requests kept for /debug/slow")
 	flag.BoolVar(&cfg.Pprof, "pprof", false, "mount net/http/pprof under /debug/pprof/")
-	flag.Float64Var(&cfg.TraceSample, "trace-sample", 0, "request-trace head-sampling rate in (0,1]; slow and non-2xx requests are always retained; 0 disables tracing")
-	flag.IntVar(&cfg.TraceRing, "trace-ring", 64, "retained traces per class (sampled / error / slow) for /debug/trace")
+	flag.Float64Var(&cfg.TraceSample, "trace-sample", 0, "head-sampling rate in (0,1] of ordinary requests into the trace ring, which also turns on W3C traceparent propagation; slow and non-2xx requests are always retained; 0 samples none")
+	flag.IntVar(&cfg.TraceRing, "trace-ring", 64, "retained request records per class (sampled / error / slow) for /debug/trace; the slow class is /debug/slow")
 	flag.StringVar(&cfg.ProfileDir, "profile-dir", "", "directory for continuous CPU/heap pprof captures (empty disables)")
 	flag.DurationVar(&cfg.ProfileInterval, "profile-interval", time.Minute, "sleep between continuous-profiling capture cycles")
 	flag.DurationVar(&cfg.ProfileCPU, "profile-cpu", 5*time.Second, "length of each continuous CPU capture")

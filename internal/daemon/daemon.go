@@ -31,29 +31,29 @@
 //	GET  /readyz      readiness probe: 200 with model-cache state
 //	                  while serving, 503 once draining so a fronting
 //	                  load balancer rotates the node out.
-//	GET  /debug/slow  the N slowest requests seen so far, with their
-//	                  per-request timing breakdowns (and, with tracing
-//	                  on, the trace ID each resolves to).
-//	GET  /debug/trace       (only with Config.TraceSample > 0) the
-//	                        retained request traces as Chrome
+//	GET  /debug/slow  the trace ring's slow class: up to
+//	                  Config.TraceRing of the slowest requests seen so
+//	                  far, slowest first, as access-log rows; each
+//	                  row's id resolves at /debug/trace/{id}.
+//	GET  /debug/trace       the retained request records as Chrome
 //	                        trace_event JSON; /debug/trace/{id} serves
-//	                        one trace.
+//	                        one record.
 //	GET  /debug/profiles    (only with Config.ProfileDir) the
 //	                        continuous-profiling index;
 //	                        /debug/profiles/{name} serves a capture.
 //	GET  /debug/pprof/* (only with Config.Pprof) net/http/pprof.
 //
 // Every request is instrumented (see obs.go): it carries an
-// X-Request-ID (propagated from the client if sane, else generated),
-// lands in the per-route and per-model latency histograms and
-// status-code counters, emits exactly one structured JSON access-log
-// line with its stage breakdown, and competes for a slot in the
-// slow-request ring — a handler panic is recovered with all of those
-// invariants intact. With TraceSample > 0 every request additionally
-// builds a wall-clock stage trace (see trace.go), retained by head
-// sampling plus tail-based always-keep for errors and outliers, and
-// retained traces are attached as OpenMetrics exemplars to the
-// latency histograms at /metrics.
+// X-Request-ID (propagated from the client if sane, else generated)
+// and builds one record with its wall-clock stage breakdown, from
+// which it lands in the per-route and per-model latency histograms
+// and status-code counters, emits exactly one structured JSON
+// access-log line, and is offered to the trace ring (see trace.go),
+// which always keeps errors and the slowest requests and, with
+// TraceSample > 0, head-samples the rest — a handler panic is
+// recovered with all of those invariants intact. Retained records are
+// attached as OpenMetrics exemplars to the latency histograms at
+// /metrics.
 //
 // The daemon bounds concurrent assignment work (Inflight), times out
 // slow requests (Timeout), caps request bodies (MaxBody), and shuts
@@ -105,18 +105,15 @@ type Config struct {
 	// its buffer on Shutdown; closing the underlying file (if any) is
 	// the caller's job.
 	AccessLog io.Writer
-	// SlowN is the capacity of the slow-request ring served at
-	// /debug/slow.
-	SlowN int
 	// Pprof mounts net/http/pprof under /debug/pprof/.
 	Pprof bool
-	// TraceSample, when positive, enables serve-side request tracing:
-	// every 1/TraceSample-th request is head-sampled into the trace
-	// ring, and every non-2xx or tail-latency request is retained
-	// regardless. Zero disables tracing entirely (the hot path then
-	// allocates nothing for it).
+	// TraceSample, when positive, head-samples every
+	// 1/TraceSample-th request into the trace ring and turns on W3C
+	// traceparent propagation. Non-2xx and tail-latency requests are
+	// retained regardless.
 	TraceSample float64
-	// TraceRing caps each retention class of the trace ring.
+	// TraceRing caps each retention class of the trace ring (sampled,
+	// error, slow); the slow class is what /debug/slow serves.
 	TraceRing int
 	// ProfileDir, when set, enables continuous profiling: periodic CPU
 	// and heap pprof captures land there, pruned to ProfileKeep files
@@ -164,9 +161,6 @@ func (c *Config) fill() {
 	if c.MaxBody <= 0 {
 		c.MaxBody = 1 << 30
 	}
-	if c.SlowN < 1 {
-		c.SlowN = 16
-	}
 	if c.TraceRing < 1 {
 		c.TraceRing = 64
 	}
@@ -194,13 +188,12 @@ type Daemon struct {
 	sem chan struct{} // bounds in-flight /assign work
 
 	alog     *accessLog
-	slow     *slowRing
 	idSeq    atomic.Int64
 	idPrefix string
 	draining atomic.Bool
 
-	traces      *obs.TraceRing // nil unless TraceSample > 0
-	traceStride int64          // head-sample every traceStride-th request
+	traces      *obs.TraceRing
+	traceStride int64 // head-sample every traceStride-th request; 0: none
 	traceSeq    atomic.Int64
 	prof        *profiler // nil unless ProfileDir is set
 
@@ -240,16 +233,13 @@ func New(cfg Config) (*Daemon, error) {
 		rec:      obs.New(),
 		sem:      make(chan struct{}, cfg.Inflight),
 		alog:     newAccessLog(cfg.AccessLog),
-		slow:     newSlowRing(cfg.SlowN),
+		traces:   obs.NewTraceRing(cfg.TraceRing),
 		idPrefix: idPrefix(),
 		cache:    make(map[string]*list.Element),
 		lru:      list.New(),
 		done:     make(chan struct{}),
 	}
 	if cfg.TraceSample > 0 {
-		// The slow class is at least as large as the slow ring, so every
-		// /debug/slow entry's trace resolves at /debug/trace/{id}.
-		d.traces = obs.NewTraceRing(cfg.TraceRing, cfg.SlowN)
 		d.traceStride = int64(math.Round(1 / cfg.TraceSample))
 		if d.traceStride < 1 {
 			d.traceStride = 1
@@ -521,7 +511,7 @@ func (d *Daemon) assign(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "POST only", http.StatusMethodNotAllowed)
 		return
 	}
-	st := statsOf(r.Context())
+	t := traceOf(r.Context())
 	// Shed load while the client is still listening: a brief queue wait
 	// absorbs bursts, then 503 instead of stalling until ReadTimeout.
 	enqueued := time.Now()
@@ -531,9 +521,8 @@ func (d *Daemon) assign(w http.ResponseWriter, r *http.Request) {
 	case d.sem <- struct{}{}:
 		defer func() { <-d.sem }()
 		admitted := time.Now()
-		st.queueSeconds = admitted.Sub(enqueued).Seconds()
-		st.stage("queue", enqueued, admitted)
-		d.rec.Observe(0, obs.HistAssignQueueSeconds, st.queueSeconds)
+		t.Mark(obs.StageQueue, enqueued, admitted)
+		d.rec.Observe(0, obs.HistAssignQueueSeconds, admitted.Sub(enqueued).Seconds())
 	case <-queue.C:
 		http.Error(w, "server busy", http.StatusServiceUnavailable)
 		return
@@ -546,7 +535,6 @@ func (d *Daemon) assign(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
-	st.model = filepath.Base(path)
 	cx, err := d.get(path)
 	if err != nil {
 		code := http.StatusInternalServerError
@@ -558,18 +546,19 @@ func (d *Daemon) assign(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, err.Error(), code)
 		return
 	}
+	// Only a loaded model names per-model series: the name comes from
+	// the client, so a miss must not mint one.
+	t.Model = filepath.Base(path)
 
 	decodeStart := time.Now()
 	body := http.MaxBytesReader(w, r.Body, d.cfg.MaxBody)
 	frameIn := strings.HasPrefix(r.Header.Get("Content-Type"), ContentTypeFrame)
 	vals, err := decodeRecords(body, frameIn, cx.ix.Dims(), d.cfg.MaxBody)
-	decodeEnd := time.Now()
-	st.decodeSeconds = decodeEnd.Sub(decodeStart).Seconds()
+	decodeStage := obs.StageDecode
 	if frameIn {
-		st.stage("frame-decode", decodeStart, decodeEnd)
-	} else {
-		st.stage("decode", decodeStart, decodeEnd)
+		decodeStage = obs.StageFrameDecode
 	}
+	t.Mark(decodeStage, decodeStart, time.Now())
 	if err != nil {
 		code := http.StatusBadRequest
 		if errors.As(err, new(*http.MaxBytesError)) || errors.Is(err, ErrFrameTooLarge) {
@@ -584,23 +573,17 @@ func (d *Daemon) assign(w http.ResponseWriter, r *http.Request) {
 	assignStart := time.Now()
 	labels := make([]int32, len(vals)/cx.ix.Dims())
 	err = cx.ix.AssignChunk(vals, labels, cx.ix.Scratch())
-	assignEnd := time.Now()
-	st.assignSeconds = assignEnd.Sub(assignStart).Seconds()
-	st.stage("kernel", assignStart, assignEnd)
+	t.Mark(obs.StageKernel, assignStart, time.Now())
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusInternalServerError)
 		return
 	}
-	st.records = len(labels)
+	t.Records = len(labels)
 	d.rec.Add(0, obs.CtrAssignRecords, int64(len(labels)))
 	d.rec.Add(0, obs.CtrAssignBatches, 1)
 
 	encodeStart := time.Now()
-	defer func() {
-		encodeEnd := time.Now()
-		st.encodeSeconds = encodeEnd.Sub(encodeStart).Seconds()
-		st.stage("encode", encodeStart, encodeEnd)
-	}()
+	defer func() { t.Mark(obs.StageEncode, encodeStart, time.Now()) }()
 	if frameIn {
 		w.Header().Set("Content-Type", "application/octet-stream")
 		buf := make([]byte, 4*len(labels))
@@ -611,7 +594,7 @@ func (d *Daemon) assign(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	resp := assignResponse{
-		Model:   filepath.Base(path),
+		Model:   t.Model,
 		Records: len(labels),
 		Labels:  labels,
 	}

@@ -458,19 +458,53 @@ func TestMetricsHistograms(t *testing.T) {
 	if h == nil || h.Count() != 4 {
 		t.Errorf("Recorder histogram count = %v, want 4", h.Count())
 	}
-	// The missing-model request reached /assign's model label too: the
-	// model histograms only count successful assigns (records > 0).
+	// The missing-model request never gets a model label, so the model
+	// histograms count exactly the successful assigns.
 	if rh := d.rec.Histogram(obs.HistModelRecords("a.pmfm")); rh == nil || rh.Count() != 3 {
 		t.Error("model records histogram should have exactly the 3 successful batches")
 	}
 }
 
-// TestDebugSlow checks the slow-request ring: entries arrive sorted
-// slowest first, carry timing breakdowns, and the ring stays capped.
+// TestMissingModelsMintNoSeries: requests for models that do not
+// exist must not create per-model series — the names come from the
+// client, so each distinct miss would otherwise mint a histogram (and
+// a name with a 0xFF byte would render as an invalid \x escape).
+func TestMissingModelsMintNoSeries(t *testing.T) {
+	dir := t.TempDir()
+	d, base := startDaemon(t, Config{ModelDir: dir})
+	defer d.Shutdown(context.Background())
+
+	for i := 0; i < 20; i++ {
+		if resp, _ := postAssign(t, base, fmt.Sprintf("nope%d.pmfm", i), "text/csv", []byte("1\n")); resp.StatusCode != http.StatusNotFound {
+			t.Fatalf("missing model %d: status %d, want 404", i, resp.StatusCode)
+		}
+	}
+	if resp, _ := postAssign(t, base, "nope%FF.pmfm", "text/csv", []byte("1\n")); resp.StatusCode != http.StatusNotFound {
+		t.Fatalf("missing 0xFF model: status %d, want 404", resp.StatusCode)
+	}
+	for name := range d.rec.Histograms() {
+		if strings.HasPrefix(name, "model.") {
+			t.Errorf("missing model minted histogram %q", name)
+		}
+	}
+	resp, err := http.Get(base + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if bytes.Contains(raw, []byte("model=")) {
+		t.Errorf("/metrics carries a model= series after only missing-model requests:\n%s", raw)
+	}
+}
+
+// TestDebugSlow checks /debug/slow, the trace ring's slow class:
+// access-log rows arrive sorted slowest first, carry timing
+// breakdowns, and stay capped at TraceRing.
 func TestDebugSlow(t *testing.T) {
 	dir := t.TempDir()
 	_, m := fitModel(t, dir, "a.pmfm", 13)
-	d, base := startDaemon(t, Config{ModelDir: dir, SlowN: 3})
+	d, base := startDaemon(t, Config{ModelDir: dir, TraceRing: 3})
 	defer d.Shutdown(context.Background())
 
 	body := csvBody(m)
@@ -483,18 +517,18 @@ func TestDebugSlow(t *testing.T) {
 	}
 	raw, _ := io.ReadAll(resp.Body)
 	resp.Body.Close()
-	var entries []slowEntry
+	var entries []accessRecord
 	if err := json.Unmarshal(raw, &entries); err != nil {
 		t.Fatalf("/debug/slow is not JSON: %v\n%s", err, raw)
 	}
 	if len(entries) != 3 {
-		t.Fatalf("/debug/slow has %d entries with SlowN=3 after 5 requests", len(entries))
+		t.Fatalf("/debug/slow has %d entries with TraceRing=3 after 5 requests", len(entries))
 	}
 	for i, e := range entries {
-		if i > 0 && e.Seconds > entries[i-1].Seconds {
-			t.Errorf("ring not sorted slowest-first at %d: %v after %v", i, e.Seconds, entries[i-1].Seconds)
+		if i > 0 && e.DurationSeconds > entries[i-1].DurationSeconds {
+			t.Errorf("ring not sorted slowest-first at %d: %v after %v", i, e.DurationSeconds, entries[i-1].DurationSeconds)
 		}
-		if e.Route != "assign" || e.ID == "" || e.Seconds <= 0 {
+		if e.Route != "assign" || e.ID == "" || e.DurationSeconds <= 0 {
 			t.Errorf("slow entry %d = %+v", i, e)
 		}
 		// The breakdown is filled in: an assign spends time in decode and
@@ -502,8 +536,8 @@ func TestDebugSlow(t *testing.T) {
 		if e.DecodeSeconds <= 0 || e.AssignSeconds <= 0 {
 			t.Errorf("entry %d missing timing breakdown: %+v", i, e)
 		}
-		if sum := e.QueueSeconds + e.DecodeSeconds + e.AssignSeconds + e.EncodeSeconds; sum > e.Seconds {
-			t.Errorf("entry %d phase sum %v exceeds total %v", i, sum, e.Seconds)
+		if sum := e.QueueSeconds + e.DecodeSeconds + e.AssignSeconds + e.EncodeSeconds; sum > e.DurationSeconds {
+			t.Errorf("entry %d phase sum %v exceeds total %v", i, sum, e.DurationSeconds)
 		}
 	}
 }
@@ -716,7 +750,7 @@ func TestConcurrentAssignAndScrape(t *testing.T) {
 				resp.Body.Close()
 			}
 		}()
-		go func() { // readiness and slow-ring scrapers
+		go func() { // readiness and /debug/slow scrapers
 			defer wg.Done()
 			for i := 0; i < iters; i++ {
 				for _, route := range []string{"/readyz", "/debug/slow"} {

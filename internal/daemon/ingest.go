@@ -50,8 +50,8 @@ func (d *Daemon) ingestHandler(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "POST only", http.StatusMethodNotAllowed)
 		return
 	}
-	st := statsOf(r.Context())
-	st.model = d.cfg.IngestModel
+	t := traceOf(r.Context())
+	t.Model = d.cfg.IngestModel
 
 	dims := d.ing.Dims()
 	body := bufio.NewReader(http.MaxBytesReader(w, r.Body, d.cfg.MaxBody))
@@ -74,7 +74,7 @@ func (d *Daemon) ingestHandler(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	st.records = appended
+	t.Records = appended
 
 	resp := ingestResponse{Appended: appended}
 	if r.URL.Query().Get("refit") != "" {

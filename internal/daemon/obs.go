@@ -2,8 +2,8 @@ package daemon
 
 // Request-level observability: the instrument middleware wraps every
 // route with an X-Request-ID, per-route and per-model histograms,
-// status-code counters, one structured access-log line, and a bid for
-// the slow-request ring.
+// status-code counters, one structured access-log line, and an offer
+// to the trace ring — all derived from one record per request.
 
 import (
 	"bufio"
@@ -15,48 +15,22 @@ import (
 	"io"
 	"net/http"
 	"runtime/debug"
-	"sort"
 	"sync"
 	"time"
 
 	"pmafia/internal/obs"
 )
 
-// reqStats is the per-request scratch the handlers fill in and the
-// middleware reads back after the handler returns. It travels via the
-// request context, so handler signatures stay plain http.HandlerFunc.
-type reqStats struct {
-	model         string // model name, /assign only
-	records       int    // records labeled, /assign only
-	queueSeconds  float64
-	decodeSeconds float64
-	assignSeconds float64
-	encodeSeconds float64
-	// tr is the request's trace, nil when tracing is off — the stage
-	// helper below then no-ops, keeping the hot path allocation-free.
-	tr    *obs.ServeTrace
-	epoch time.Time // the trace ring's epoch, for wall→ring time
-}
+type traceKey struct{}
 
-// stage records one stage span on the request's trace; a no-op (one
-// pointer test, zero allocations) when tracing is off.
-func (st *reqStats) stage(name string, start, end time.Time) {
-	if st.tr == nil {
-		return
-	}
-	st.tr.Stage(name, start.Sub(st.epoch).Seconds(), end.Sub(st.epoch).Seconds())
-}
-
-type statsKey struct{}
-
-// statsOf returns the request's stats scratch, or a throwaway one if
-// the handler runs outside the middleware (tests calling handlers
+// traceOf returns the request's record, or a throwaway one if the
+// handler runs outside the middleware (tests calling handlers
 // directly).
-func statsOf(ctx context.Context) *reqStats {
-	if st, ok := ctx.Value(statsKey{}).(*reqStats); ok {
-		return st
+func traceOf(ctx context.Context) *obs.ServeTrace {
+	if t, ok := ctx.Value(traceKey{}).(*obs.ServeTrace); ok {
+		return t
 	}
-	return &reqStats{}
+	return &obs.ServeTrace{}
 }
 
 // statusWriter captures the status code and body size a handler
@@ -123,135 +97,85 @@ func (d *Daemon) requestID(r *http.Request) string {
 // instrument wraps a handler with the full request-observability
 // stack. Every route goes through here, so "one access-log line per
 // request" and "every response carries an X-Request-ID" hold globally.
-// A handler panic is recovered: the response becomes a 500 (when
-// nothing was written yet), the metrics / access-log / slow-ring /
-// trace invariants still hold for the request, and the panic message
-// plus its stack land in the access-log line. http.ErrAbortHandler is
-// the exception: net/http uses it as the abort-the-connection
-// sentinel, so it is re-panicked (after recording the request) rather
-// than converted to a 500.
+// The request's one record (an obs.ServeTrace) travels via the request
+// context, so handler signatures stay plain http.HandlerFunc. A
+// handler panic is recovered: the response becomes a 500 (when
+// nothing was written yet), the metrics / access-log / trace-ring
+// invariants still hold for the request, and the panic message plus
+// its stack land in the record. http.ErrAbortHandler is the
+// exception: net/http uses it as the abort-the-connection sentinel,
+// so it is re-panicked (after recording the request) rather than
+// converted to a 500.
 func (d *Daemon) instrument(route string, h http.HandlerFunc) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
-		start := time.Now()
-		id := d.requestID(r)
-		w.Header().Set("X-Request-ID", id)
-		st := &reqStats{}
-		var traceID string
+		t := &obs.ServeTrace{Start: time.Now(), ID: d.requestID(r), Route: route, Method: r.Method}
+		w.Header().Set("X-Request-ID", t.ID)
 		var sampled bool
-		if d.traces != nil {
-			traceID, sampled = d.startTrace(w, r, st, route, id, start)
+		if d.traceStride > 0 {
+			sampled = d.startTrace(w, r, t)
 		}
 		sw := &statusWriter{ResponseWriter: w, status: http.StatusOK}
 		defer func() {
 			panicked := recover()
-			var stack []byte
 			if panicked != nil {
+				t.Panic = fmt.Sprint(panicked)
 				if panicked == http.ErrAbortHandler {
 					// net/http's sentinel for "abort this connection" must
 					// keep propagating — swallowing it would turn an
 					// intentional abort into a spurious 500. Record the
 					// request first so the one-line-per-request invariant
 					// still holds.
-					d.finish(route, id, traceID, sampled, start, st, sw, r, panicked, nil)
+					d.finish(t, sw, sampled)
 					panic(panicked)
 				}
-				stack = debug.Stack()
+				t.PanicStack = string(debug.Stack())
 				if !sw.wrote {
 					http.Error(sw, "internal server error", http.StatusInternalServerError)
 				}
 			}
-			d.finish(route, id, traceID, sampled, start, st, sw, r, panicked, stack)
+			d.finish(t, sw, sampled)
 		}()
-		h(sw, r.WithContext(context.WithValue(r.Context(), statsKey{}, st)))
+		h(sw, r.WithContext(context.WithValue(r.Context(), traceKey{}, t)))
 	}
 }
 
-// finish is the post-handler half of instrument: histograms and
-// status counters, the trace-retention decision (plus exemplars for
-// retained traces), the access-log line, and the slow-ring bid.
-func (d *Daemon) finish(route, id, traceID string, sampled bool, start time.Time, st *reqStats, sw *statusWriter, r *http.Request, panicked any, stack []byte) {
-	end := time.Now()
-	dur := end.Sub(start).Seconds()
+// finish is the post-handler half of instrument: it closes the record,
+// observes the histograms and status counters, offers the record to
+// the trace ring (setting exemplars for a retained one), and writes
+// the access-log line. The record is read-only from the Offer on.
+func (d *Daemon) finish(t *obs.ServeTrace, sw *statusWriter, sampled bool) {
+	t.End = time.Now()
+	t.Status, t.Bytes = sw.status, sw.bytes
+	dur := t.Duration()
 
-	d.rec.Observe(0, obs.HistRouteSeconds(route), dur)
-	d.rec.Add(0, obs.CtrHTTPStatus(route, sw.status), 1)
-	if st.model != "" {
-		d.rec.Observe(0, obs.HistModelSeconds(st.model), dur)
-		if st.records > 0 {
-			d.rec.Observe(0, obs.HistModelRecords(st.model), float64(st.records))
+	d.rec.Observe(0, obs.HistRouteSeconds(t.Route), dur)
+	d.rec.Add(0, obs.CtrHTTPStatus(t.Route, t.Status), 1)
+	if t.Model != "" {
+		d.rec.Observe(0, obs.HistModelSeconds(t.Model), dur)
+		if t.Records > 0 {
+			d.rec.Observe(0, obs.HistModelRecords(t.Model), float64(t.Records))
 		}
 	}
 
-	if st.tr != nil {
-		st.tr.Status = sw.status
-		st.tr.Model = st.model
-		st.tr.Records = st.records
-		st.tr.End = end.Sub(st.epoch).Seconds()
-		retained, asErr, asSlow := d.traces.Offer(st.tr, sampled)
-		d.rec.Add(0, obs.CtrTraceRequests, 1)
-		if sampled {
-			d.rec.Add(0, obs.CtrTraceSampled, 1)
+	if retained, slow := d.traces.Offer(t, sampled); retained {
+		d.rec.Add(0, obs.CtrTraceRetained, 1)
+		if slow {
+			d.rec.Add(0, obs.CtrTraceRetainedSlow, 1)
 		}
-		if retained {
-			d.rec.Add(0, obs.CtrTraceRetained, 1)
-			if asErr {
-				d.rec.Add(0, obs.CtrTraceRetainedError, 1)
-			}
-			if asSlow {
-				d.rec.Add(0, obs.CtrTraceRetainedSlow, 1)
-			}
-			// Exemplars point only at retained traces — keyed by the
-			// request ID, the ring's lookup key — so following one from a
-			// dashboard never dead-ends on an unsampled request.
-			d.rec.SetExemplar(obs.HistRouteSeconds(route), dur, id)
-			if st.model != "" {
-				d.rec.SetExemplar(obs.HistModelSeconds(st.model), dur, id)
-			}
+		// Exemplars point only at retained records — keyed by the
+		// request ID, the ring's lookup key — so following one from a
+		// dashboard never dead-ends on a dropped request.
+		d.rec.SetExemplar(obs.HistRouteSeconds(t.Route), dur, t.ID)
+		if t.Model != "" {
+			d.rec.SetExemplar(obs.HistModelSeconds(t.Model), dur, t.ID)
 		}
 	}
-
-	panicMsg := ""
-	if panicked != nil {
-		panicMsg = fmt.Sprint(panicked)
-	}
-	now := end.UTC().Format(time.RFC3339Nano)
-	d.alog.write(accessRecord{
-		Time:            now,
-		ID:              id,
-		TraceID:         traceID,
-		Route:           route,
-		Method:          r.Method,
-		Model:           st.model,
-		Records:         st.records,
-		Status:          sw.status,
-		Bytes:           sw.bytes,
-		QueueSeconds:    st.queueSeconds,
-		DecodeSeconds:   st.decodeSeconds,
-		AssignSeconds:   st.assignSeconds,
-		EncodeSeconds:   st.encodeSeconds,
-		DurationSeconds: dur,
-		Panic:           panicMsg,
-		PanicStack:      string(stack),
-	})
-	d.slow.offer(slowEntry{
-		ID:            id,
-		TraceID:       traceID,
-		Time:          now,
-		Route:         route,
-		Method:        r.Method,
-		Model:         st.model,
-		Records:       st.records,
-		Status:        sw.status,
-		Seconds:       dur,
-		QueueSeconds:  st.queueSeconds,
-		DecodeSeconds: st.decodeSeconds,
-		AssignSeconds: st.assignSeconds,
-		EncodeSeconds: st.encodeSeconds,
-	})
+	d.alog.write(t)
 }
 
-// accessRecord is one structured access-log line, carrying the full
-// per-stage timing breakdown alongside the total.
+// accessRecord is one structured access-log line — and one
+// /debug/slow row — carrying the per-stage timing breakdown alongside
+// the total.
 type accessRecord struct {
 	Time            string  `json:"time"`
 	ID              string  `json:"id"`
@@ -271,6 +195,28 @@ type accessRecord struct {
 	PanicStack      string  `json:"panic_stack,omitempty"`
 }
 
+// accessRow renders a request record as its access-log line.
+func accessRow(t *obs.ServeTrace) accessRecord {
+	return accessRecord{
+		Time:            t.End.UTC().Format(time.RFC3339Nano),
+		ID:              t.ID,
+		TraceID:         t.TraceID,
+		Route:           t.Route,
+		Method:          t.Method,
+		Model:           t.Model,
+		Records:         t.Records,
+		Status:          t.Status,
+		Bytes:           t.Bytes,
+		QueueSeconds:    t.Stages[obs.StageQueue].Seconds(),
+		DecodeSeconds:   t.Stages[obs.StageDecode].Seconds() + t.Stages[obs.StageFrameDecode].Seconds(),
+		AssignSeconds:   t.Stages[obs.StageKernel].Seconds(),
+		EncodeSeconds:   t.Stages[obs.StageEncode].Seconds(),
+		DurationSeconds: t.Duration(),
+		Panic:           t.Panic,
+		PanicStack:      t.PanicStack,
+	}
+}
+
 // accessLog serializes JSON access-log lines onto one writer. Writes
 // are buffered; Shutdown flushes. A nil writer disables logging at
 // zero cost per request beyond the nil check.
@@ -288,10 +234,11 @@ func newAccessLog(w io.Writer) *accessLog {
 	return &accessLog{bw: bw, enc: json.NewEncoder(bw)}
 }
 
-func (a *accessLog) write(rec accessRecord) {
+func (a *accessLog) write(t *obs.ServeTrace) {
 	if a == nil {
 		return
 	}
+	rec := accessRow(t)
 	a.mu.Lock()
 	a.enc.Encode(rec) // Encode appends the newline: one line per request
 	a.mu.Unlock()
@@ -306,72 +253,16 @@ func (a *accessLog) flush() error {
 	return a.bw.Flush()
 }
 
-// slowEntry is one /debug/slow row: the request identity plus its
-// timing breakdown.
-type slowEntry struct {
-	ID            string  `json:"id"`
-	TraceID       string  `json:"trace_id,omitempty"`
-	Time          string  `json:"time"`
-	Route         string  `json:"route"`
-	Method        string  `json:"method"`
-	Model         string  `json:"model,omitempty"`
-	Records       int     `json:"records,omitempty"`
-	Status        int     `json:"status"`
-	Seconds       float64 `json:"seconds"`
-	QueueSeconds  float64 `json:"queue_seconds"`
-	DecodeSeconds float64 `json:"decode_seconds"`
-	AssignSeconds float64 `json:"assign_seconds"`
-	EncodeSeconds float64 `json:"encode_seconds"`
-}
-
-// slowRing keeps the cap slowest requests seen so far, sorted slowest
-// first. It is a ring in spirit (bounded, old fast entries fall out),
-// implemented as a small sorted slice — cap is tiny.
-type slowRing struct {
-	mu      sync.Mutex
-	cap     int
-	entries []slowEntry
-}
-
-func newSlowRing(cap int) *slowRing {
-	return &slowRing{cap: cap}
-}
-
-// offer inserts the entry if it ranks among the slowest cap requests.
-func (s *slowRing) offer(e slowEntry) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if len(s.entries) == s.cap && e.Seconds <= s.entries[s.cap-1].Seconds {
-		return
-	}
-	i := sort.Search(len(s.entries), func(i int) bool {
-		return s.entries[i].Seconds < e.Seconds
-	})
-	s.entries = append(s.entries, slowEntry{})
-	copy(s.entries[i+1:], s.entries[i:])
-	s.entries[i] = e
-	if len(s.entries) > s.cap {
-		s.entries = s.entries[:s.cap]
-	}
-}
-
-// snapshot returns the ring's entries, slowest first.
-func (s *slowRing) snapshot() []slowEntry {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := make([]slowEntry, len(s.entries))
-	copy(out, s.entries)
-	return out
-}
-
-// debugSlow serves the slow-request ring as JSON, slowest first.
+// debugSlow serves the trace ring's slow class as access-log rows,
+// slowest first.
 func (d *Daemon) debugSlow(w http.ResponseWriter, _ *http.Request) {
-	entries := d.slow.snapshot()
-	if entries == nil {
-		entries = []slowEntry{}
+	slow := d.traces.Slowest()
+	rows := make([]accessRecord, len(slow))
+	for i, t := range slow {
+		rows[i] = accessRow(t)
 	}
 	w.Header().Set("Content-Type", "application/json")
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", " ")
-	enc.Encode(entries)
+	enc.Encode(rows)
 }

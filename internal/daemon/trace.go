@@ -1,14 +1,13 @@
 package daemon
 
-// Serve-side request tracing: the instrument middleware starts one
-// obs.ServeTrace per request when tracing is enabled (Config
-// TraceSample > 0), honoring an inbound W3C traceparent and emitting
-// the daemon's own outbound. Handlers annotate stage spans via
-// reqStats; the middleware offers the finished trace to the ring,
-// which head-samples ordinary requests and always keeps errors and
-// tail-latency outliers. Retained traces serve as Chrome
-// trace_event JSON at /debug/trace (and /debug/trace/{id}) and as
-// OpenMetrics exemplars on the latency histograms.
+// Serve-side request tracing: every request's record (see obs.go) is
+// offered to the trace ring, which always keeps errors and
+// tail-latency outliers and, with Config.TraceSample > 0, head-samples
+// ordinary requests. TraceSample also turns on W3C traceparent
+// propagation: the instrument middleware honors an inbound traceparent
+// and emits the daemon's own outbound. Retained records serve as
+// Chrome trace_event JSON at /debug/trace (and /debug/trace/{id}) and
+// as OpenMetrics exemplars on the latency histograms.
 
 import (
 	"bytes"
@@ -16,7 +15,6 @@ import (
 	"encoding/hex"
 	"net/http"
 	"strings"
-	"time"
 
 	"pmafia/internal/obs"
 )
@@ -57,54 +55,44 @@ func randHex(n int) string {
 	return hex.EncodeToString(b)
 }
 
-// startTrace begins the request's trace, keyed by the request's own
+// startTrace carries the request's W3C trace context: the inbound
+// traceparent trace-id (or a freshly minted one) rides along on the
+// record as a correlation attribute and is echoed outbound with the
+// daemon's own span-id. The record stays keyed by the request's own
 // unique ID — a W3C trace-id is shared by every request in one
-// distributed trace (fan-out, retries), so keying the ring by it
-// would make such requests shadow each other. The inbound traceparent
-// trace-id (or a freshly minted one) rides along as a correlation
-// attribute and is echoed outbound with the daemon's own span-id.
-// Also makes the deterministic head-sampling decision (every
-// traceStride-th request). Only called when tracing is enabled.
-func (d *Daemon) startTrace(w http.ResponseWriter, r *http.Request, st *reqStats, route, id string, start time.Time) (traceID string, sampled bool) {
-	traceID = parseTraceparent(r.Header.Get("traceparent"))
-	if traceID == "" {
-		traceID = randHex(16)
+// distributed trace (fan-out, retries), so keying the ring by it would
+// make such requests shadow each other. Also makes the deterministic
+// head-sampling decision (every traceStride-th request). Only called
+// when head sampling is on.
+func (d *Daemon) startTrace(w http.ResponseWriter, r *http.Request, t *obs.ServeTrace) (sampled bool) {
+	t.TraceID = parseTraceparent(r.Header.Get("traceparent"))
+	if t.TraceID == "" {
+		t.TraceID = randHex(16)
 	}
-	w.Header().Set("traceparent", "00-"+traceID+"-"+randHex(8)+"-01")
-	st.epoch = d.traces.Epoch()
-	st.tr = &obs.ServeTrace{ID: id, TraceID: traceID, Route: route, Start: start.Sub(st.epoch).Seconds()}
+	w.Header().Set("traceparent", "00-"+t.TraceID+"-"+randHex(8)+"-01")
 	n := d.traceSeq.Add(1)
-	return traceID, (n-1)%d.traceStride == 0
+	return (n-1)%d.traceStride == 0
 }
 
-// debugTrace serves the retained traces as Chrome trace_event JSON:
-// the whole ring at /debug/trace, one trace at /debug/trace/{id}.
+// debugTrace serves the retained records as Chrome trace_event JSON:
+// the whole ring at /debug/trace, one record at /debug/trace/{id}.
 func (d *Daemon) debugTrace(w http.ResponseWriter, r *http.Request) {
-	if d.traces == nil {
-		http.Error(w, "tracing disabled (start with -trace-sample > 0)", http.StatusNotFound)
+	id := strings.Trim(strings.TrimPrefix(r.URL.Path, "/debug/trace"), "/")
+	var traces []*obs.ServeTrace
+	if id == "" {
+		traces = d.traces.Snapshot()
+	} else if t := d.traces.Lookup(id); t != nil {
+		traces = []*obs.ServeTrace{t}
+	} else {
+		http.Error(w, "trace "+id+" not retained", http.StatusNotFound)
 		return
 	}
-	id := strings.Trim(strings.TrimPrefix(r.URL.Path, "/debug/trace"), "/")
-	// Render into a buffer first: the per-ID path then needs a single
-	// ring lookup (a lookup-then-write pair could race an eviction into
-	// a 200 with an empty body), and an export error becomes a clean
+	// Render into a buffer first, so an export error becomes a clean
 	// 500 instead of a truncated 200.
 	var buf bytes.Buffer
-	if id == "" {
-		if err := d.traces.WriteChromeTrace(&buf); err != nil {
-			http.Error(w, "trace export: "+err.Error(), http.StatusInternalServerError)
-			return
-		}
-	} else {
-		found, err := d.traces.WriteTraceByID(&buf, id)
-		if err != nil {
-			http.Error(w, "trace export: "+err.Error(), http.StatusInternalServerError)
-			return
-		}
-		if !found {
-			http.Error(w, "trace "+id+" not retained", http.StatusNotFound)
-			return
-		}
+	if err := obs.WriteServeTrace(&buf, traces); err != nil {
+		http.Error(w, "trace export: "+err.Error(), http.StatusInternalServerError)
+		return
 	}
 	w.Header().Set("Content-Type", "application/json")
 	w.Write(buf.Bytes())

@@ -7,6 +7,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -52,8 +53,8 @@ type chromeDoc struct {
 // valid Chrome trace_event JSON with one request span per request,
 // each framed request traced as exactly the queue, frame-decode,
 // kernel and encode stages, stage spans summing to within the
-// route-histogram observation, per-ID lookup, and the trace-backed
-// slow ring.
+// route-histogram observation, per-ID lookup, and /debug/slow rows
+// that all resolve in the ring.
 func TestServeTraceEndToEnd(t *testing.T) {
 	dir := t.TempDir()
 	_, m := fitModel(t, dir, "a.pmfm", 1)
@@ -127,8 +128,10 @@ func TestServeTraceEndToEnd(t *testing.T) {
 			t.Errorf("trace %s: duration %.6fs exceeds histogram max %.6fs", tr.ID, dur, hist.Max())
 		}
 		var stages []string
-		for _, s := range tr.Spans {
-			stages = append(stages, s.Stage)
+		for i, s := range tr.Stages {
+			if s.Ran() {
+				stages = append(stages, obs.Stage(i).String())
+			}
 		}
 		if got, want := strings.Join(stages, ","), "queue,frame-decode,kernel,encode"; got != want {
 			t.Errorf("trace %s has stages %s, want exactly %s", tr.ID, got, want)
@@ -148,15 +151,15 @@ func TestServeTraceEndToEnd(t *testing.T) {
 		t.Errorf("unknown trace id served %d, want 404", resp.StatusCode)
 	}
 
-	// The slow ring is trace-backed: every /debug/slow entry names a
-	// retained, resolvable trace.
+	// /debug/slow is the ring's slow class: every row names a retained,
+	// resolvable trace.
 	_, raw = get(t, base+"/debug/slow")
-	var slow []slowEntry
+	var slow []accessRecord
 	if err := json.Unmarshal(raw, &slow); err != nil {
 		t.Fatal(err)
 	}
 	if len(slow) == 0 {
-		t.Fatal("empty slow ring after traffic")
+		t.Fatal("empty /debug/slow after traffic")
 	}
 	for _, e := range slow {
 		if e.TraceID == "" {
@@ -168,10 +171,116 @@ func TestServeTraceEndToEnd(t *testing.T) {
 	}
 }
 
+// TestRequestViewsAgree: one framed request's access-log line, its
+// /debug/slow row, and its /debug/trace/{id} events are views of one
+// record, so they report the same stage durations, status, records,
+// and model.
+func TestRequestViewsAgree(t *testing.T) {
+	dir := t.TempDir()
+	_, m := fitModel(t, dir, "a.pmfm", 5)
+	var logBuf syncBuffer
+	d, base := startDaemon(t, Config{ModelDir: dir, TraceSample: 1, AccessLog: &logBuf})
+	defer d.Shutdown(context.Background())
+
+	body, err := EncodeFrame(m.D, m.Values[:16*m.D])
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, raw := postAssign(t, base, "a.pmfm", ContentTypeFrame, body)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("status %d: %s", resp.StatusCode, raw)
+	}
+	id := resp.Header.Get("X-Request-ID")
+
+	if err := d.alog.flush(); err != nil {
+		t.Fatal(err)
+	}
+	var line accessRecord
+	if err := json.Unmarshal([]byte(logBuf.String()), &line); err != nil {
+		t.Fatal(err)
+	}
+	if line.ID != id {
+		t.Fatalf("access-log line is for %s, want %s", line.ID, id)
+	}
+
+	_, raw = get(t, base+"/debug/slow")
+	var rows []accessRecord
+	if err := json.Unmarshal(raw, &rows); err != nil {
+		t.Fatal(err)
+	}
+	var row *accessRecord
+	for i := range rows {
+		if rows[i].ID == id {
+			row = &rows[i]
+		}
+	}
+	if row == nil {
+		t.Fatalf("request %s missing from /debug/slow", id)
+	}
+
+	resp, raw = get(t, base+"/debug/trace/"+id)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("/debug/trace/%s status %d", id, resp.StatusCode)
+	}
+	var doc chromeDoc
+	if err := json.Unmarshal(raw, &doc); err != nil {
+		t.Fatal(err)
+	}
+	stage := map[string]float64{}
+	var root map[string]any
+	for _, ev := range doc.TraceEvents {
+		switch {
+		case ev.Ph == "X" && ev.Cat == "stage":
+			stage[ev.Name] = ev.Dur / 1e6
+		case ev.Ph == "X" && ev.Cat == "request":
+			root = ev.Args
+		}
+	}
+	if root == nil {
+		t.Fatal("trace has no request event")
+	}
+
+	const ns = 1e-9
+	for _, view := range []struct {
+		name                          string
+		queue, decode, kernel, encode float64
+	}{
+		{"/debug/slow", row.QueueSeconds, row.DecodeSeconds, row.AssignSeconds, row.EncodeSeconds},
+		{"/debug/trace", stage["queue"], stage["frame-decode"], stage["kernel"], stage["encode"]},
+	} {
+		for _, c := range []struct {
+			stage     string
+			got, want float64
+		}{
+			{"queue", view.queue, line.QueueSeconds},
+			{"decode", view.decode, line.DecodeSeconds},
+			{"kernel", view.kernel, line.AssignSeconds},
+			{"encode", view.encode, line.EncodeSeconds},
+		} {
+			if math.Abs(c.got-c.want) > ns {
+				t.Errorf("%s %s = %.12fs, access log says %.12fs", view.name, c.stage, c.got, c.want)
+			}
+		}
+	}
+	if line.DecodeSeconds <= 0 || line.AssignSeconds <= 0 {
+		t.Errorf("access-log line has no stage breakdown: %+v", line)
+	}
+	if row.Status != line.Status || row.Records != line.Records || row.Model != line.Model {
+		t.Errorf("/debug/slow row %+v disagrees with access-log line %+v", *row, line)
+	}
+	if root["status"] != float64(line.Status) || root["records"] != float64(line.Records) || root["model"] != line.Model {
+		t.Errorf("trace request args %v disagree with access-log line %+v", root, line)
+	}
+	if line.Status != http.StatusOK || line.Records != 16 || line.Model != "a.pmfm" {
+		t.Errorf("access-log line = %+v", line)
+	}
+}
+
 // TestTraceTailRetention drives mixed traffic at -trace-sample 0.01
 // and verifies the tail-based retention contract: 100% of non-2xx
 // requests and 100% of the slowest decile are retained, while head
-// sampling drops the bulk of ordinary traffic from the sample class.
+// sampling keeps request 1 and 101 and drops the rest of the ordinary
+// traffic outside the slow class.
 func TestTraceTailRetention(t *testing.T) {
 	dir := t.TempDir()
 	_, m := fitModel(t, dir, "a.pmfm", 2)
@@ -245,14 +354,23 @@ func TestTraceTailRetention(t *testing.T) {
 		}
 	}
 
-	// Head sampling fired (request 1, 101, ...) but did not keep
-	// everything: retention stays well under the request count.
-	met := d.rec.Metrics()
-	if met.Counters[obs.CtrTraceSampled] < 1 {
-		t.Error("no request was head-sampled at stride 100")
+	// Head sampling keeps every 100th request, starting with request 1;
+	// an ordinary request outside the slow class is retained only if
+	// sampled, so retention stays well under the request count.
+	if d.traces.Lookup(recs[0].ID) == nil {
+		t.Error("request 1 was not head-sampled at stride 100")
 	}
-	if met.Counters[obs.CtrTraceRequests] < total {
-		t.Errorf("trace.requests = %d, want >= %d", met.Counters[obs.CtrTraceRequests], total)
+	slow := map[string]bool{}
+	for _, tr := range d.traces.Slowest() {
+		slow[tr.ID] = true
+	}
+	for i, rec := range recs {
+		if rec.Status != http.StatusOK || slow[rec.ID] {
+			continue
+		}
+		if retained, sampled := d.traces.Lookup(rec.ID) != nil, i%100 == 0; retained != sampled {
+			t.Errorf("request %d: retained=%v, head-sampled=%v", i+1, retained, sampled)
+		}
 	}
 	traces := d.traces.Snapshot()
 	if len(traces) >= total {
@@ -434,7 +552,7 @@ func TestMetricsExemplars(t *testing.T) {
 }
 
 // TestInstrumentRecoversPanic: a panicking handler yields a 500 with
-// the metrics, access-log, slow-ring, and trace invariants intact.
+// the metrics, access-log, and trace-ring invariants intact.
 func TestInstrumentRecoversPanic(t *testing.T) {
 	dir := t.TempDir()
 	var logBuf syncBuffer
@@ -473,8 +591,8 @@ func TestInstrumentRecoversPanic(t *testing.T) {
 	if !strings.Contains(rec.PanicStack, "goroutine") {
 		t.Errorf("access record carries no panic stack trace: %q", rec.PanicStack)
 	}
-	if entries := d.slow.snapshot(); len(entries) != 1 || entries[0].Status != 500 {
-		t.Error("panic did not compete for the slow ring")
+	if slow := d.traces.Slowest(); len(slow) != 1 || slow[0].Status != 500 {
+		t.Error("panic did not compete for the slow class")
 	}
 	if tr := d.traces.Lookup(rec.ID); tr == nil || tr.Status != 500 {
 		t.Error("panicked request's trace not retained as an error")
@@ -595,19 +713,25 @@ func TestAccessLogBreakdown(t *testing.T) {
 	}
 }
 
-// TestTracingOffZeroAlloc pins the pay-for-use contract of the new
-// seams: with tracing off, the stage recorder, the ring offer, and
-// the exemplar write are allocation-free no-ops.
+// TestTracingOffZeroAlloc pins the allocation contract of the
+// per-request record: marking a stage, offering a record that a full
+// ring does not keep, and an exemplar write without an ID allocate
+// nothing, so a request the ring drops costs no more than its record.
 func TestTracingOffZeroAlloc(t *testing.T) {
-	st := &reqStats{}
-	t0, t1 := time.Now(), time.Now()
-	if n := testing.AllocsPerRun(100, func() { st.stage("kernel", t0, t1) }); n != 0 {
-		t.Errorf("stage with tracing off allocates %v times", n)
-	}
-	var ring *obs.TraceRing
 	tr := &obs.ServeTrace{}
-	if n := testing.AllocsPerRun(100, func() { ring.Offer(tr, false) }); n != 0 {
-		t.Errorf("nil ring Offer allocates %v times", n)
+	t0, t1 := time.Now(), time.Now()
+	if n := testing.AllocsPerRun(100, func() { tr.Mark(obs.StageKernel, t0, t1) }); n != 0 {
+		t.Errorf("Mark allocates %v times", n)
+	}
+	ring := obs.NewTraceRing(1)
+	ring.Offer(&obs.ServeTrace{ID: "slow", Status: 200, Start: t0, End: t0.Add(time.Hour)}, false)
+	fast := &obs.ServeTrace{ID: "fast", Status: 200, Start: t0, End: t0}
+	if n := testing.AllocsPerRun(100, func() {
+		if retained, _ := ring.Offer(fast, false); retained {
+			t.Fatal("a full ring kept a fast unsampled 200")
+		}
+	}); n != 0 {
+		t.Errorf("Offer of a dropped record allocates %v times", n)
 	}
 	rec := obs.New()
 	if n := testing.AllocsPerRun(100, func() { rec.SetExemplar("http.assign.seconds", 1, "") }); n != 0 {

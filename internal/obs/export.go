@@ -46,12 +46,9 @@ func (r *Recorder) WriteChromeTrace(w io.Writer) error {
 		return fmt.Errorf("obs: nil recorder")
 	}
 	r.mu.Lock()
-	doc := traceDoc{DisplayTimeUnit: "ms", TraceEvents: []traceEvent{{
-		Name: "process_name", Ph: "M", Pid: 0, Tid: 0,
-		Args: map[string]any{"name": "pmafia"},
-	}}}
+	var events []traceEvent
 	for rank, rs := range r.ranks {
-		doc.TraceEvents = append(doc.TraceEvents, traceEvent{
+		events = append(events, traceEvent{
 			Name: "thread_name", Ph: "M", Pid: 0, Tid: rank,
 			Args: map[string]any{"name": fmt.Sprintf("rank %d", rank)},
 		})
@@ -73,7 +70,7 @@ func (r *Recorder) WriteChromeTrace(w io.Writer) error {
 					ev.Args["comm_bytes"] = s.CommBytes
 				}
 			}
-			doc.TraceEvents = append(doc.TraceEvents, ev)
+			events = append(events, ev)
 		}
 	}
 	for _, msg := range r.msgs {
@@ -81,7 +78,7 @@ func (r *Recorder) WriteChromeTrace(w io.Writer) error {
 			"bytes": msg.Bytes, "step": msg.Step, "coll": msg.Coll,
 			"src": msg.Src, "dst": msg.Dst,
 		}
-		doc.TraceEvents = append(doc.TraceEvents,
+		events = append(events,
 			traceEvent{
 				Name: msg.Kind, Cat: "msg", Ph: "s", ID: msg.ID,
 				Ts: msg.Start * 1e6, Pid: 0, Tid: msg.Src, Args: args,
@@ -92,13 +89,23 @@ func (r *Recorder) WriteChromeTrace(w io.Writer) error {
 			})
 	}
 	for _, smp := range r.samples {
-		doc.TraceEvents = append(doc.TraceEvents, traceEvent{
+		events = append(events, traceEvent{
 			Name: smp.name, Cat: "counter", Ph: "C",
 			Ts: smp.ts * 1e6, Pid: 0, Tid: 0,
 			Args: map[string]any{"value": smp.val},
 		})
 	}
 	r.mu.Unlock()
+	return writeTraceDoc(w, "pmafia", events)
+}
+
+// writeTraceDoc writes one Chrome trace_event document: the
+// process_name metadata event naming process, then events.
+func writeTraceDoc(w io.Writer, process string, events []traceEvent) error {
+	doc := traceDoc{DisplayTimeUnit: "ms", TraceEvents: append([]traceEvent{{
+		Name: "process_name", Ph: "M", Pid: 0, Tid: 0,
+		Args: map[string]any{"name": process},
+	}}, events...)}
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", " ")
 	return enc.Encode(doc)

@@ -35,12 +35,10 @@ const (
 	CtrAssignCacheMiss = "assign.cache.miss"
 	// pmafiad: the framed binary protocol.
 	CtrAssignFrames = "assign.frames"
-	// pmafiad: serve-side request tracing (the trace ring).
-	CtrTraceRequests      = "trace.requests"
-	CtrTraceSampled       = "trace.sampled"
-	CtrTraceRetained      = "trace.retained"
-	CtrTraceRetainedError = "trace.retained.error"
-	CtrTraceRetainedSlow  = "trace.retained.slow"
+	// pmafiad: request records kept by the trace ring (all classes,
+	// and the slow class).
+	CtrTraceRetained     = "trace.retained"
+	CtrTraceRetainedSlow = "trace.retained.slow"
 	// pmafiad: the continuous-profiling harness.
 	CtrProfileCPU    = "profile.cpu"
 	CtrProfileHeap   = "profile.heap"
@@ -230,48 +228,45 @@ func LevelDenseCounter(k int) string {
 
 // registered is the exact-name half of the registry.
 var registered = map[string]bool{
-	CtrDiskChunks:         true,
-	CtrDiskBytes:          true,
-	CtrDiskRetries:        true,
-	CtrDiskCorruptions:    true,
-	CtrPoolMergeNS:        true,
-	CtrHistogramRecords:   true,
-	CtrCDUsGenerated:      true,
-	CtrCDUsDeduped:        true,
-	CtrCDUsPopulated:      true,
-	CtrDenseUnits:         true,
-	CtrPopulateRecords:    true,
-	CtrAssignRecords:      true,
-	CtrAssignBatches:      true,
-	CtrAssignCacheHit:     true,
-	CtrAssignCacheMiss:    true,
-	CtrAssignFrames:       true,
-	CtrTraceRequests:      true,
-	CtrTraceSampled:       true,
-	CtrTraceRetained:      true,
-	CtrTraceRetainedError: true,
-	CtrTraceRetainedSlow:  true,
-	CtrProfileCPU:         true,
-	CtrProfileHeap:        true,
-	CtrProfilePruned:      true,
-	CtrProfileErrors:      true,
-	CtrIngestRecords:      true,
-	CtrIngestChunks:       true,
-	CtrIngestRefits:       true,
-	CtrIngestRefitErrors:  true,
-	CtrSwapChecks:         true,
-	CtrSwapSwaps:          true,
-	CtrSwapErrors:         true,
-	CtrCkptWrites:         true,
-	CtrCkptWriteBytes:     true,
-	CtrCkptWriteNS:        true,
-	CtrCkptRestores:       true,
-	CtrCkptRestoreNS:      true,
-	CtrCkptCorrupt:        true,
-	CtrCkptStale:          true,
-	CtrCkptResumeLevel:    true,
-	CtrSupervisorResume:   true,
-	CtrSupervisorRetry:    true,
+	CtrDiskChunks:        true,
+	CtrDiskBytes:         true,
+	CtrDiskRetries:       true,
+	CtrDiskCorruptions:   true,
+	CtrPoolMergeNS:       true,
+	CtrHistogramRecords:  true,
+	CtrCDUsGenerated:     true,
+	CtrCDUsDeduped:       true,
+	CtrCDUsPopulated:     true,
+	CtrDenseUnits:        true,
+	CtrPopulateRecords:   true,
+	CtrAssignRecords:     true,
+	CtrAssignBatches:     true,
+	CtrAssignCacheHit:    true,
+	CtrAssignCacheMiss:   true,
+	CtrAssignFrames:      true,
+	CtrTraceRetained:     true,
+	CtrTraceRetainedSlow: true,
+	CtrProfileCPU:        true,
+	CtrProfileHeap:       true,
+	CtrProfilePruned:     true,
+	CtrProfileErrors:     true,
+	CtrIngestRecords:     true,
+	CtrIngestChunks:      true,
+	CtrIngestRefits:      true,
+	CtrIngestRefitErrors: true,
+	CtrSwapChecks:        true,
+	CtrSwapSwaps:         true,
+	CtrSwapErrors:        true,
+	CtrCkptWrites:        true,
+	CtrCkptWriteBytes:    true,
+	CtrCkptWriteNS:       true,
+	CtrCkptRestores:      true,
+	CtrCkptRestoreNS:     true,
+	CtrCkptCorrupt:       true,
+	CtrCkptStale:         true,
+	CtrCkptResumeLevel:   true,
+	CtrSupervisorResume:  true,
+	CtrSupervisorRetry:   true,
 }
 
 // patterned matches the constructed counter families:

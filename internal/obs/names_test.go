@@ -9,8 +9,7 @@ func TestCounterRegistry(t *testing.T) {
 		CtrHistogramRecords, CtrCDUsGenerated, CtrCDUsDeduped,
 		CtrCDUsPopulated, CtrDenseUnits, CtrPopulateRecords,
 		CtrAssignFrames,
-		CtrTraceRequests, CtrTraceSampled, CtrTraceRetained,
-		CtrTraceRetainedError, CtrTraceRetainedSlow,
+		CtrTraceRetained, CtrTraceRetainedSlow,
 		CtrProfileCPU, CtrProfileHeap, CtrProfilePruned, CtrProfileErrors,
 		CtrIngestRecords, CtrIngestChunks, CtrIngestRefits, CtrIngestRefitErrors,
 		CtrSwapChecks, CtrSwapSwaps, CtrSwapErrors,
@@ -144,48 +143,45 @@ func TestHistogramBoundsByFamily(t *testing.T) {
 // change here is a dashboard-breaking change — update deliberately.
 func TestPromNameMapping(t *testing.T) {
 	want := map[string]string{
-		CtrDiskChunks:         "pmafia_diskio_chunks",
-		CtrDiskBytes:          "pmafia_diskio_bytes",
-		CtrDiskRetries:        "pmafia_diskio_retries",
-		CtrDiskCorruptions:    "pmafia_diskio_corruptions",
-		CtrPoolMergeNS:        "pmafia_pool_merge_ns",
-		CtrHistogramRecords:   "pmafia_histogram_records",
-		CtrCDUsGenerated:      "pmafia_cdus_generated",
-		CtrCDUsDeduped:        "pmafia_cdus_deduped",
-		CtrCDUsPopulated:      "pmafia_cdus_populated",
-		CtrDenseUnits:         "pmafia_dense_units",
-		CtrPopulateRecords:    "pmafia_populate_records",
-		CtrAssignRecords:      "pmafia_assign_records",
-		CtrAssignBatches:      "pmafia_assign_batches",
-		CtrAssignCacheHit:     "pmafia_assign_cache_hit",
-		CtrAssignCacheMiss:    "pmafia_assign_cache_miss",
-		CtrAssignFrames:       "pmafia_assign_frames",
-		CtrTraceRequests:      "pmafia_trace_requests",
-		CtrTraceSampled:       "pmafia_trace_sampled",
-		CtrTraceRetained:      "pmafia_trace_retained",
-		CtrTraceRetainedError: "pmafia_trace_retained_error",
-		CtrTraceRetainedSlow:  "pmafia_trace_retained_slow",
-		CtrProfileCPU:         "pmafia_profile_cpu",
-		CtrProfileHeap:        "pmafia_profile_heap",
-		CtrProfilePruned:      "pmafia_profile_pruned",
-		CtrProfileErrors:      "pmafia_profile_errors",
-		CtrIngestRecords:      "pmafia_ingest_records",
-		CtrIngestChunks:       "pmafia_ingest_chunks",
-		CtrIngestRefits:       "pmafia_ingest_refits",
-		CtrIngestRefitErrors:  "pmafia_ingest_refit_errors",
-		CtrSwapChecks:         "pmafia_swap_checks",
-		CtrSwapSwaps:          "pmafia_swap_swaps",
-		CtrSwapErrors:         "pmafia_swap_errors",
-		CtrCkptWrites:         "pmafia_ckpt_write",
-		CtrCkptWriteBytes:     "pmafia_ckpt_write_bytes",
-		CtrCkptWriteNS:        "pmafia_ckpt_write_ns",
-		CtrCkptRestores:       "pmafia_ckpt_restore",
-		CtrCkptRestoreNS:      "pmafia_ckpt_restore_ns",
-		CtrCkptCorrupt:        "pmafia_ckpt_corrupt",
-		CtrCkptStale:          "pmafia_ckpt_stale",
-		CtrCkptResumeLevel:    "pmafia_ckpt_resume_level",
-		CtrSupervisorResume:   "pmafia_supervisor_resumes",
-		CtrSupervisorRetry:    "pmafia_supervisor_restarts",
+		CtrDiskChunks:        "pmafia_diskio_chunks",
+		CtrDiskBytes:         "pmafia_diskio_bytes",
+		CtrDiskRetries:       "pmafia_diskio_retries",
+		CtrDiskCorruptions:   "pmafia_diskio_corruptions",
+		CtrPoolMergeNS:       "pmafia_pool_merge_ns",
+		CtrHistogramRecords:  "pmafia_histogram_records",
+		CtrCDUsGenerated:     "pmafia_cdus_generated",
+		CtrCDUsDeduped:       "pmafia_cdus_deduped",
+		CtrCDUsPopulated:     "pmafia_cdus_populated",
+		CtrDenseUnits:        "pmafia_dense_units",
+		CtrPopulateRecords:   "pmafia_populate_records",
+		CtrAssignRecords:     "pmafia_assign_records",
+		CtrAssignBatches:     "pmafia_assign_batches",
+		CtrAssignCacheHit:    "pmafia_assign_cache_hit",
+		CtrAssignCacheMiss:   "pmafia_assign_cache_miss",
+		CtrAssignFrames:      "pmafia_assign_frames",
+		CtrTraceRetained:     "pmafia_trace_retained",
+		CtrTraceRetainedSlow: "pmafia_trace_retained_slow",
+		CtrProfileCPU:        "pmafia_profile_cpu",
+		CtrProfileHeap:       "pmafia_profile_heap",
+		CtrProfilePruned:     "pmafia_profile_pruned",
+		CtrProfileErrors:     "pmafia_profile_errors",
+		CtrIngestRecords:     "pmafia_ingest_records",
+		CtrIngestChunks:      "pmafia_ingest_chunks",
+		CtrIngestRefits:      "pmafia_ingest_refits",
+		CtrIngestRefitErrors: "pmafia_ingest_refit_errors",
+		CtrSwapChecks:        "pmafia_swap_checks",
+		CtrSwapSwaps:         "pmafia_swap_swaps",
+		CtrSwapErrors:        "pmafia_swap_errors",
+		CtrCkptWrites:        "pmafia_ckpt_write",
+		CtrCkptWriteBytes:    "pmafia_ckpt_write_bytes",
+		CtrCkptWriteNS:       "pmafia_ckpt_write_ns",
+		CtrCkptRestores:      "pmafia_ckpt_restore",
+		CtrCkptRestoreNS:     "pmafia_ckpt_restore_ns",
+		CtrCkptCorrupt:       "pmafia_ckpt_corrupt",
+		CtrCkptStale:         "pmafia_ckpt_stale",
+		CtrCkptResumeLevel:   "pmafia_ckpt_resume_level",
+		CtrSupervisorResume:  "pmafia_supervisor_resumes",
+		CtrSupervisorRetry:   "pmafia_supervisor_restarts",
 		// Patterned families, one instance each.
 		CommCountCounter(KindReduce):     "pmafia_comm_reduce_count",
 		CommBytesCounter(KindGather):     "pmafia_comm_gather_bytes",

@@ -1,20 +1,18 @@
 package obs
 
-// Serve-side request tracing. Where the Recorder's spans cover the
+// Serve-side request records. Where the Recorder's spans cover the
 // fit-side SPMD engine in rank-clock time, a ServeTrace covers one
-// HTTP request in wall-clock time: a root span (the whole request)
-// plus flat child stage spans (queue, decode or frame-decode, kernel,
-// encode). Traces live in a TraceRing, which applies head sampling
-// plus tail-based retention: every non-2xx request and every request
-// that ranks among the slowest seen are always kept, regardless of
-// the sampling decision, so the interesting tail survives even at a
-// 1% sample rate.
-//
-// All times are float64 seconds since the ring's epoch (its creation
-// time), converted to microseconds only at export.
+// HTTP request in wall-clock time: its identity and outcome, the root
+// window (the whole request), and a fixed array of stage spans
+// (queue, decode or frame-decode, kernel, encode). The serving daemon
+// builds one per request and derives every per-request view from it.
+// Finished records are offered to a TraceRing, which applies head
+// sampling plus tail-based retention: every non-2xx request and every
+// request that ranks among the slowest seen are always kept,
+// regardless of the sampling decision, so the interesting tail
+// survives even at a 1% sample rate.
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 	"sort"
@@ -22,16 +20,39 @@ import (
 	"time"
 )
 
-// StageSpan is one child stage of a request trace.
+// Stage indexes the timed stages of a served request.
+type Stage uint8
+
+const (
+	StageQueue       Stage = iota // admission wait for an in-flight slot
+	StageDecode                   // CSV body decode
+	StageFrameDecode              // PMAS frame decode
+	StageKernel                   // the batch assignment kernel
+	StageEncode                   // response encode and write
+	numStages
+)
+
+var stageNames = [numStages]string{"queue", "decode", "frame-decode", "kernel", "encode"}
+
+// String returns the stage's name, as it appears in the Chrome export.
+func (s Stage) String() string { return stageNames[s] }
+
+// StageSpan is one stage's window; both ends are zero for a stage the
+// request never ran.
 type StageSpan struct {
-	Stage string  `json:"stage"`
-	Start float64 `json:"start"`
-	End   float64 `json:"end"`
+	Start, End time.Time
 }
 
-// ServeTrace is one request's trace: identity, outcome, the root
-// [Start, End] window, and its stage spans. A trace is built by a
-// single goroutine (the request's).
+// Ran reports whether the stage was marked.
+func (s StageSpan) Ran() bool { return !s.Start.IsZero() }
+
+// Seconds returns the stage's duration, 0 for a stage that never ran.
+func (s StageSpan) Seconds() float64 { return s.End.Sub(s.Start).Seconds() }
+
+// ServeTrace is one request's record: identity, outcome, the root
+// [Start, End] window, and its stage spans. A record is built by a
+// single goroutine (the request's) and is read-only once offered to a
+// TraceRing.
 type ServeTrace struct {
 	// ID is the ring's retention key and must be unique per request
 	// (the daemon uses the X-Request-ID). TraceID is the W3C
@@ -39,25 +60,25 @@ type ServeTrace struct {
 	// every request of one distributed trace (fan-out, retries) shares
 	// it, so it cannot key the ring without requests shadowing each
 	// other in Snapshot/Lookup.
-	ID      string      `json:"id"`
-	TraceID string      `json:"trace_id,omitempty"`
-	Route   string      `json:"route"`
-	Model   string      `json:"model,omitempty"`
-	Status  int         `json:"status"`
-	Records int         `json:"records,omitempty"`
-	Start   float64     `json:"start"`
-	End     float64     `json:"end"`
-	Spans   []StageSpan `json:"spans"`
+	ID      string
+	TraceID string
+	Route   string
+	Method  string
+	Model   string
+
+	Status     int
+	Records    int
+	Bytes      int64
+	Panic      string
+	PanicStack string
+
+	Start, End time.Time
+	Stages     [numStages]StageSpan
 }
 
-// Stage appends one stage span. Nil-safe: recording into an
-// unsampled request (nil trace) is a no-op, so the tracing-off path
-// costs a pointer test.
-func (t *ServeTrace) Stage(stage string, start, end float64) {
-	if t == nil {
-		return
-	}
-	t.Spans = append(t.Spans, StageSpan{Stage: stage, Start: start, End: end})
+// Mark records stage s as having run over [start, end].
+func (t *ServeTrace) Mark(s Stage, start, end time.Time) {
+	t.Stages[s] = StageSpan{Start: start, End: end}
 }
 
 // StageSum returns the summed stage durations — by construction they
@@ -65,93 +86,70 @@ func (t *ServeTrace) Stage(stage string, start, end float64) {
 // the root duration.
 func (t *ServeTrace) StageSum() float64 {
 	var sum float64
-	for _, s := range t.Spans {
-		sum += s.End - s.Start
+	for _, s := range t.Stages {
+		sum += s.Seconds()
 	}
 	return sum
 }
 
-// Duration returns the root span's duration.
-func (t *ServeTrace) Duration() float64 { return t.End - t.Start }
+// Duration returns the root span's duration in seconds.
+func (t *ServeTrace) Duration() float64 { return t.End.Sub(t.Start).Seconds() }
 
-// TraceRing is the bounded retention store for serve traces. Offer
-// classifies a finished trace into up to three retention classes:
+// TraceRing is the bounded retention store for request records. Offer
+// classifies a finished record into up to three retention classes,
+// each holding at most cap records:
 //
-//   - errs: every non-2xx trace, FIFO-bounded — errors are always kept.
-//   - slow: the top-cap slowest traces seen so far, sorted slowest
-//     first with the same insert/evict policy as the daemon's
-//     /debug/slow ring, so (with slowCap >= the slow ring's cap) every
-//     /debug/slow entry's trace is retained.
-//   - samp: head-sampled ordinary traces, FIFO-bounded.
-//
-// All methods are nil-safe no-ops, preserving the package's
-// pay-for-use contract.
+//   - errs: every non-2xx record, FIFO — errors are always kept.
+//   - slow: the cap slowest records seen so far, sorted slowest first
+//     (ties keep the earlier arrival, the fastest falls out).
+//   - samp: head-sampled ordinary records, FIFO.
 type TraceRing struct {
-	mu      sync.Mutex
-	epoch   time.Time
-	cap     int
-	slowCap int
+	mu  sync.Mutex
+	cap int
 
 	samp []*ServeTrace
 	errs []*ServeTrace
 	slow []*ServeTrace
 }
 
-// NewTraceRing creates a ring keeping up to cap sampled traces, cap
-// error traces, and max(cap, slowCap) slow traces.
-func NewTraceRing(cap, slowCap int) *TraceRing {
+// NewTraceRing creates a ring keeping up to cap records per class.
+func NewTraceRing(cap int) *TraceRing {
 	if cap < 1 {
 		cap = 1
 	}
-	if slowCap < cap {
-		slowCap = cap
-	}
-	return &TraceRing{epoch: time.Now(), cap: cap, slowCap: slowCap}
+	return &TraceRing{cap: cap}
 }
 
-// Epoch returns the ring's time origin; trace and stage times are
-// seconds since it.
-func (tr *TraceRing) Epoch() time.Time {
-	if tr == nil {
-		return time.Time{}
-	}
-	return tr.epoch
-}
-
-// Offer classifies a finished trace. sampled is the head-sampling
+// Offer classifies a finished record. sampled is the head-sampling
 // decision made at request start; retention is the union of the three
 // classes, so errors and tail-latency outliers survive sampling.
-func (tr *TraceRing) Offer(t *ServeTrace, sampled bool) (retained, asError, asSlow bool) {
-	if tr == nil || t == nil {
-		return false, false, false
-	}
+func (tr *TraceRing) Offer(t *ServeTrace, sampled bool) (retained, slow bool) {
 	tr.mu.Lock()
 	defer tr.mu.Unlock()
-	if t.Status >= 300 || t.Status < 200 {
-		asError = true
-		tr.errs = append(tr.errs, t)
-		if len(tr.errs) > tr.cap {
-			tr.errs = tr.errs[1:]
-		}
+	isErr := t.Status >= 300 || t.Status < 200
+	if isErr {
+		tr.errs = appendFIFO(tr.errs, t, tr.cap)
 	}
-	if tr.offerSlowLocked(t) {
-		asSlow = true
-	}
+	slow = tr.offerSlowLocked(t)
 	if sampled {
-		tr.samp = append(tr.samp, t)
-		if len(tr.samp) > tr.cap {
-			tr.samp = tr.samp[1:]
-		}
+		tr.samp = appendFIFO(tr.samp, t, tr.cap)
 	}
-	return sampled || asError || asSlow, asError, asSlow
+	return sampled || isErr || slow, slow
 }
 
-// offerSlowLocked inserts t if it ranks among the slowCap slowest
-// traces — the same top-cap policy as the daemon's slow ring (sorted
-// slowest first, ties keep the earlier arrival, fastest falls out).
+// appendFIFO appends t to a class, dropping the oldest record past cap.
+func appendFIFO(class []*ServeTrace, t *ServeTrace, cap int) []*ServeTrace {
+	class = append(class, t)
+	if len(class) > cap {
+		class = class[1:]
+	}
+	return class
+}
+
+// offerSlowLocked inserts t if it ranks among the cap slowest records.
 func (tr *TraceRing) offerSlowLocked(t *ServeTrace) bool {
 	d := t.Duration()
-	if len(tr.slow) == tr.slowCap && d <= tr.slow[tr.slowCap-1].Duration() {
+	if len(tr.slow) == tr.cap && d <= tr.slow[tr.cap-1].Duration() {
 		return false
 	}
 	i := sort.Search(len(tr.slow), func(i int) bool {
@@ -160,18 +158,22 @@ func (tr *TraceRing) offerSlowLocked(t *ServeTrace) bool {
 	tr.slow = append(tr.slow, nil)
 	copy(tr.slow[i+1:], tr.slow[i:])
 	tr.slow[i] = t
-	if len(tr.slow) > tr.slowCap {
-		tr.slow = tr.slow[:tr.slowCap]
+	if len(tr.slow) > tr.cap {
+		tr.slow = tr.slow[:tr.cap]
 	}
 	return true
 }
 
-// Lookup returns the retained trace with the given ID, nil if it was
+// Slowest returns the slow class, slowest first.
+func (tr *TraceRing) Slowest() []*ServeTrace {
+	tr.mu.Lock()
+	defer tr.mu.Unlock()
+	return append([]*ServeTrace(nil), tr.slow...)
+}
+
+// Lookup returns the retained record with the given ID, nil if it was
 // never retained or has since been evicted from every class.
 func (tr *TraceRing) Lookup(id string) *ServeTrace {
-	if tr == nil {
-		return nil
-	}
 	tr.mu.Lock()
 	defer tr.mu.Unlock()
 	for _, class := range [][]*ServeTrace{tr.errs, tr.slow, tr.samp} {
@@ -184,12 +186,9 @@ func (tr *TraceRing) Lookup(id string) *ServeTrace {
 	return nil
 }
 
-// Snapshot returns the retained traces, deduplicated across classes
+// Snapshot returns the retained records, deduplicated across classes
 // and ordered by start time.
 func (tr *TraceRing) Snapshot() []*ServeTrace {
-	if tr == nil {
-		return nil
-	}
 	tr.mu.Lock()
 	defer tr.mu.Unlock()
 	seen := map[string]bool{}
@@ -202,42 +201,25 @@ func (tr *TraceRing) Snapshot() []*ServeTrace {
 			}
 		}
 	}
-	sort.Slice(traces, func(i, j int) bool { return traces[i].Start < traces[j].Start })
+	sort.Slice(traces, func(i, j int) bool { return traces[i].Start.Before(traces[j].Start) })
 	return traces
 }
 
-// WriteChromeTrace exports every retained trace as a Chrome
-// trace_event document.
-func (tr *TraceRing) WriteChromeTrace(w io.Writer) error {
-	if tr == nil {
-		return fmt.Errorf("obs: nil trace ring")
-	}
-	return WriteServeTrace(w, tr.Snapshot())
-}
-
-// WriteTraceByID exports one retained trace. found is false when the
-// ID is unknown.
-func (tr *TraceRing) WriteTraceByID(w io.Writer, id string) (found bool, err error) {
-	if tr == nil {
-		return false, nil
-	}
-	t := tr.Lookup(id)
-	if t == nil {
-		return false, nil
-	}
-	return true, WriteServeTrace(w, []*ServeTrace{t})
-}
-
-// WriteServeTrace renders request traces as Chrome trace_event JSON:
+// WriteServeTrace renders request records as Chrome trace_event JSON:
 // one thread track per request, the root "X" event named after the
-// route and the stage "X" events inside it.
+// route and the "X" events of the stages that ran inside it, in stage
+// order. Times are microseconds since the earliest request's start.
 func WriteServeTrace(w io.Writer, traces []*ServeTrace) error {
-	doc := traceDoc{DisplayTimeUnit: "ms", TraceEvents: []traceEvent{
-		{Name: "process_name", Ph: "M", Pid: 0, Tid: 0,
-			Args: map[string]any{"name": "pmafiad"}},
-	}}
+	var origin time.Time
+	for _, t := range traces {
+		if origin.IsZero() || t.Start.Before(origin) {
+			origin = t.Start
+		}
+	}
+	micros := func(at time.Time) float64 { return float64(at.Sub(origin)) / 1e3 }
+	var events []traceEvent
 	for i, t := range traces {
-		doc.TraceEvents = append(doc.TraceEvents, traceEvent{
+		events = append(events, traceEvent{
 			Name: "thread_name", Ph: "M", Pid: 0, Tid: i + 1,
 			Args: map[string]any{"name": fmt.Sprintf("req %s (%s)", t.ID, t.Route)},
 		})
@@ -251,20 +233,21 @@ func WriteServeTrace(w io.Writer, traces []*ServeTrace) error {
 		if t.Records > 0 {
 			args["records"] = t.Records
 		}
-		doc.TraceEvents = append(doc.TraceEvents, traceEvent{
+		events = append(events, traceEvent{
 			Name: t.Route, Cat: "request", Ph: "X",
-			Ts: t.Start * 1e6, Dur: t.Duration() * 1e6,
+			Ts: micros(t.Start), Dur: t.Duration() * 1e6,
 			Pid: 0, Tid: i + 1, Args: args,
 		})
-		for _, s := range t.Spans {
-			doc.TraceEvents = append(doc.TraceEvents, traceEvent{
-				Name: s.Stage, Cat: "stage", Ph: "X",
-				Ts: s.Start * 1e6, Dur: (s.End - s.Start) * 1e6,
+		for s, span := range t.Stages {
+			if !span.Ran() {
+				continue
+			}
+			events = append(events, traceEvent{
+				Name: Stage(s).String(), Cat: "stage", Ph: "X",
+				Ts: micros(span.Start), Dur: span.Seconds() * 1e6,
 				Pid: 0, Tid: i + 1,
 			})
 		}
 	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", " ")
-	return enc.Encode(doc)
+	return writeTraceDoc(w, "pmafiad", events)
 }

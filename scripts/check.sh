@@ -18,6 +18,24 @@ for arg in "$@"; do
     esac
 done
 
+# gate FLAG NAMES PKG [GO_TEST_ARGS...] runs the |-separated NAMES of
+# PKG as `go test GO_TEST_ARGS FLAG '^(NAMES)$' PKG`, FLAG being -run
+# or -fuzz. A pattern that selects nothing passes silently ("[no tests
+# to run]", "no fuzz tests to fuzz"), so each name must first resolve
+# to a test of PKG: a renamed test fails its gate instead of emptying
+# it.
+gate() {
+    flag=$1 names=$2 pkg=$3
+    shift 3
+    for name in $(echo "$names" | tr '|' ' '); do
+        if ! go test -list "^$name\$" "$pkg" | grep -qx "$name"; then
+            echo "gate: $pkg has no test $name" >&2
+            exit 1
+        fi
+    done
+    go test "$@" "$flag" "^($names)\$" "$pkg"
+}
+
 echo "== go vet ./..."
 go vet ./...
 
@@ -54,8 +72,8 @@ fi
 # a locked Prometheus mapping, and no metric-name string literal may
 # bypass the registry constants.
 echo "== metric-name registry gate"
-go test -count=1 -run 'TestCounterRegistry|TestHistogramRegistry|TestPromNameMapping' ./internal/obs
-go test -count=1 -run 'TestAllEmittedMetricsAreRegistered' ./internal/daemon
+gate -run 'TestCounterRegistry|TestHistogramRegistry|TestPromNameMapping' ./internal/obs -count=1
+gate -run 'TestAllEmittedMetricsAreRegistered' ./internal/daemon -count=1
 stray=$(grep -rnE '"(trace|profile|swap|ingest)\.[a-z_.]+"' --include='*.go' internal cmd \
     | grep -v '^internal/obs/names\.go:' | grep -vE '\.(pmaf|pmfm)"' || true)
 if [ -n "$stray" ]; then
@@ -72,14 +90,14 @@ go test -race ./...
 # compiled assignment index must agree bit-for-bit with the engine's
 # linear-scan oracle.
 echo "== serving gate (daemon concurrency/leak + assign differential)"
-go test -race -count=1 -run 'TestConcurrentAssignAndScrape' ./internal/daemon
-go test -race -count=1 -run 'TestPropertyMatchesOracle|TestFittedModelMatchesEngineAssign' ./internal/assign
+gate -run 'TestConcurrentAssignAndScrape' ./internal/daemon -race -count=1
+gate -run 'TestPropertyMatchesOracle|TestFittedModelMatchesEngineAssign' ./internal/assign -race -count=1
 
 # The fit path's population kernels (bit-sliced direct, grouped bitset,
 # grouped map) must agree count for count with the scalar per-record
 # oracle on edge-case records, partial blocks, and sharded workers.
 echo "== population-kernel differential gate (kernels vs scalar oracle)"
-go test -race -count=1 -run 'TestCountKernelsAgree' ./internal/mafia
+gate -run 'TestCountKernelsAgree' ./internal/mafia -race -count=1
 
 # Swap-under-load gate: while sustained traffic runs, the served model
 # file is rewritten with alternating generations (and once with
@@ -87,23 +105,23 @@ go test -race -count=1 -run 'TestCountKernelsAgree' ./internal/mafia
 # oracle, never a torn mix, and a failed swap must keep the previous
 # generation serving.
 echo "== swap gate (hot swap under load)"
-go test -race -count=1 -run 'TestStaleModelReloaded|TestSwapUnderLoad' ./internal/daemon
+gate -run 'TestStaleModelReloaded|TestSwapUnderLoad' ./internal/daemon -race -count=1
 
 # Recovery gate: supervised restart under injected crashes and torn
 # checkpoint writes must reproduce the fault-free result
 # bit-identically, race-clean (the full per-collective crash matrix
 # lives in `make recover`).
 echo "== recovery gate (crash resume + torn-checkpoint fallback)"
-go test -race -count=1 -run 'TestResumeDeterminismMatrix|TestTornCheckpointFallsBack' ./internal/supervisor
+gate -run 'TestResumeDeterminismMatrix|TestTornCheckpointFallsBack' ./internal/supervisor -race -count=1
 
 if [ "$smoke" = 1 ]; then
     echo "== fuzz smoke (FuzzOpen + FuzzDecode + FuzzLoad + FuzzReadCSV + FuzzAssignFrame + FuzzPopulateKernels, 10s each)"
-    go test -run '^$' -fuzz '^FuzzOpen$' -fuzztime 10s ./internal/diskio
-    go test -run '^$' -fuzz '^FuzzDecode$' -fuzztime 10s ./internal/ckpt
-    go test -run '^$' -fuzz '^FuzzLoad$' -fuzztime 10s ./internal/modelio
-    go test -run '^$' -fuzz '^FuzzReadCSV$' -fuzztime 10s ./internal/dataset
-    go test -run '^$' -fuzz '^FuzzAssignFrame$' -fuzztime 10s ./internal/daemon
-    go test -run '^$' -fuzz '^FuzzPopulateKernels$' -fuzztime 10s ./internal/mafia
+    gate -fuzz FuzzOpen ./internal/diskio -run '^$' -fuzztime 10s
+    gate -fuzz FuzzDecode ./internal/ckpt -run '^$' -fuzztime 10s
+    gate -fuzz FuzzLoad ./internal/modelio -run '^$' -fuzztime 10s
+    gate -fuzz FuzzReadCSV ./internal/dataset -run '^$' -fuzztime 10s
+    gate -fuzz FuzzAssignFrame ./internal/daemon -run '^$' -fuzztime 10s
+    gate -fuzz FuzzPopulateKernels ./internal/mafia -run '^$' -fuzztime 10s
 
     # Short runs of every workload against a freshly built pmafiad,
     # including the check that a corrupted label must fail the run.
