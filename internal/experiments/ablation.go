@@ -210,20 +210,11 @@ func runModelFit(o *Options) ([]*tabular.Table, error) {
 		fmt.Sprintf("Running-time model fit, %d records, 20-d data", m.NumRecords()),
 		"procs", "measured_s", "fitted_s")
 	for i, p := range procs {
-		// Best of three runs per point: scheduler noise on a shared
-		// host only ever inflates a measurement.
-		best := 0.0
-		for rep := 0; rep < 3; rep++ {
-			res, err := mafia.RunParallel(shard(m, p), fullDomains(spec.Dims), mafia.Config{},
-				sp2.Config{Procs: p, Mode: o.Mode})
-			if err != nil {
-				return nil, err
-			}
-			if rep == 0 || res.Seconds < best {
-				best = res.Seconds
-			}
+		res, err := fitBestOfThree(m, p, fullDomains(spec.Dims), o.Mode)
+		if err != nil {
+			return nil, err
 		}
-		times[i] = best
+		times[i] = res.Seconds
 	}
 	fit, err := model.FitAmdahl(procs, times)
 	if err != nil {

@@ -42,7 +42,7 @@ func runFig3(o *Options) ([]*tabular.Table, error) {
 		"procs", "time_s", "speedup", "efficiency", "comm_s")
 	var t1 float64
 	for _, p := range o.Procs {
-		res, err := mafia.RunParallel(shard(m, p), fullDomains(spec.Dims), mafia.Config{}, sp2.Config{Procs: p, Mode: o.Mode})
+		res, err := fitBestOfThree(m, p, fullDomains(spec.Dims), o.Mode)
 		if err != nil {
 			return nil, err
 		}
@@ -185,7 +185,7 @@ func runFig5(o *Options) ([]*tabular.Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		res, err := mafia.RunParallel(shard(m, p), fullDomains(20), mafia.Config{}, sp2.Config{Procs: p, Mode: o.Mode})
+		res, err := fitBestOfThree(m, p, fullDomains(20), o.Mode)
 		if err != nil {
 			return nil, err
 		}

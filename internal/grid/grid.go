@@ -26,6 +26,17 @@ const MaxBins = 255
 // repository's experiments is 27,720.
 const MaxFineUnits = 1 << 20
 
+// MaxTotalFineUnits caps the fine units of a whole grid, summed over
+// its dimensions: the per-dimension cap alone lets a model of 255
+// dimensions size 255 × 2^20 table entries (about 255 MB of unit-to-bin
+// table, twice that in an assignment index) from a file of a few
+// kilobytes. The largest sum any configuration in this repository
+// reaches is CLIQUE's bin-count LCM, 27,720 per dimension, at the
+// 255-dimension limit: 7,068,600 (the engine's automatic choice gives
+// at most 1000 × 255). 2^23 admits that with headroom and bounds the
+// tables at 8 MB per grid and 16 MB per assignment index.
+const MaxTotalFineUnits = 1 << 23
+
 // BinCountError reports a requested or computed per-dimension bin count
 // that does not fit the one-byte bin encoding. Unit arrays, dedup keys,
 // and the population kernels all index bins with uint8, so a grid built

@@ -153,7 +153,7 @@ func (h *Hist) AddSourceParallel(src dataset.Source, chunkRecords, workers int) 
 	}
 	n, err := pool.Scan(src, chunkRecords, workers, 1, func(w int, chunk []float64, lo, hi int) {
 		parts[w].AddChunk(chunk[lo*len(h.Domains):hi*len(h.Domains)], hi-lo)
-	})
+	}, nil)
 	if err != nil {
 		return 0, err
 	}

@@ -62,3 +62,26 @@ func TestValidateRejectsOverwideFineUnits(t *testing.T) {
 		t.Fatalf("a %d-unit precomputed histogram was accepted", h.Units)
 	}
 }
+
+// TestValidateRejectsOversizedGrid: the per-dimension cap is not
+// enough, since the grid's tables grow with fine units × dims. Past
+// grid.MaxTotalFineUnits over all dims the run is refused, for an
+// explicit FineUnits and a precomputed histogram alike.
+func TestValidateRejectsOversizedGrid(t *testing.T) {
+	per := grid.MaxTotalFineUnits / 8
+	if err := (&Config{FineUnits: per}).Validate(8); err != nil {
+		t.Errorf("%d fine units × 8 dims, at the grid cap: %v", per, err)
+	}
+	if err := (&Config{FineUnits: per}).Validate(9); err == nil {
+		t.Errorf("%d fine units × 9 dims accepted", per)
+	}
+	doms := make([]dataset.Range, 9)
+	for i := range doms {
+		doms[i] = dataset.Range{Lo: 0, Hi: 1}
+	}
+	h := histogram.New(doms, per)
+	h.N = 1
+	if err := (&Config{Hist: h}).Validate(9); err == nil {
+		t.Errorf("a %d-unit × 9-dim precomputed histogram was accepted", per)
+	}
+}

@@ -71,10 +71,8 @@ type counter struct {
 	// CountDirect: the CDU set compiled once per level
 	slices   []sliceDim // dimensions some CDU constrains, ascending
 	atoms    int        // mask slots: junk slot 0 plus one per atom
+	atomIDs  [][]uint16 // per dim: bin -> atom id, 0 = junk; nil = unconstrained
 	cduAtoms []uint16   // each CDU's K atom ids, CDU-major like cdus.Dims
-
-	// serial-path scratch
-	scratch countScratch
 }
 
 // countScratch is the per-worker mutable state of the population
@@ -106,7 +104,6 @@ func newCounter(g *grid.Grid, cdus *unit.Array, strategy CountStrategy) *counter
 	} else {
 		c.buildSubspaces(strategy == CountGroupedMap)
 	}
-	c.scratch = c.newScratch(c.counts)
 	return c
 }
 
@@ -128,7 +125,8 @@ func (c *counter) newScratch(counts []int64) countScratch {
 // are adjacent — and each CDU's K atom ids. Fine units map to atoms
 // through the grid's own unit→bin table, so binning is BinOf's exactly.
 func (c *counter) buildSlices() {
-	ids := make([][]uint16, len(c.g.Dims)) // per dim: bin -> atom id, 0 = junk
+	ids := make([][]uint16, len(c.g.Dims))
+	c.atomIDs = ids
 	for x, dim := range c.cdus.Dims {
 		if ids[dim] == nil {
 			ids[dim] = make([]uint16, grid.MaxBins+1)
@@ -246,7 +244,10 @@ func (c *counter) buildSubspaces(forceMap bool) {
 // addChunkInto counts n row-major records into the scratch's tallies.
 // It is the hot loop of the population phase and performs no
 // allocation; workers call it concurrently with disjoint scratches.
-func (c *counter) addChunkInto(sc *countScratch, chunk []float64, n int) {
+// With frame non-nil (the direct kernel writing the binned copy), the
+// atom masks of the records' blocks are also stored, block by block,
+// from the start of frame.
+func (c *counter) addChunkInto(sc *countScratch, chunk []float64, n int, frame []byte) {
 	d := len(c.g.Dims)
 	switch c.strategy {
 	case CountGrouped, CountGroupedMap:
@@ -277,19 +278,22 @@ func (c *counter) addChunkInto(sc *countScratch, chunk []float64, n int) {
 	default: // CountDirect
 		for lo := 0; lo < n; lo += blockRecords {
 			b := min(n-lo, blockRecords)
-			c.countBlock(chunk[lo*d:(lo+b)*d], b, sc)
+			c.binBlock(chunk[lo*d:(lo+b)*d], b, sc.masks)
+			if frame != nil {
+				frame = storeMasks(frame, sc.masks[1:])
+			}
+			c.tallyBlock(sc)
 		}
 	}
 }
 
-// countBlock is the direct kernel over one block of n (1..blockRecords)
-// row-major records. Dimension-major, it bins every constrained
-// dimension of every record and sets the record's bit in the mask of
-// the atom the bin maps to; then each CDU adds the popcount of the AND
-// of its K atom masks. Dimensions no CDU constrains are never binned.
-func (c *counter) countBlock(rows []float64, n int, sc *countScratch) {
+// binBlock is the first half of the direct kernel over one block of n
+// (1..blockRecords) row-major records. Dimension-major, it bins every
+// constrained dimension of every record and sets the record's bit in
+// the mask of the atom the bin maps to. Dimensions no CDU constrains
+// are never binned.
+func (c *counter) binBlock(rows []float64, n int, masks []uint64) {
 	d := len(c.g.Dims)
-	masks := sc.masks
 	clear(masks)
 	for si := range c.slices {
 		t := &c.slices[si]
@@ -301,8 +305,14 @@ func (c *counter) countBlock(rows []float64, n int, sc *countScratch) {
 			bit <<= 1
 		}
 	}
+}
+
+// tallyBlock is the second half of the direct kernel: each CDU adds the
+// popcount of the AND of its K atom masks.
+func (c *counter) tallyBlock(sc *countScratch) {
 	k := c.cdus.K
 	ids := c.cduAtoms
+	masks := sc.masks
 	for i := range sc.counts {
 		a := ids[i*k : (i+1)*k]
 		m := masks[a[0]]
@@ -313,55 +323,63 @@ func (c *counter) countBlock(rows []float64, n int, sc *countScratch) {
 	}
 }
 
-// addChunk counts n row-major records on the serial path.
-func (c *counter) addChunk(chunk []float64, n int) {
-	c.records += int64(n)
-	c.addChunkInto(&c.scratch, chunk, n)
-}
-
-// addSource counts every record of src in chunks of chunkRecords.
-func (c *counter) addSource(src dataset.Source, chunkRecords int) error {
-	sc := src.Scan(chunkRecords)
-	defer sc.Close()
-	for {
-		chunk, n := sc.Next()
-		if n == 0 {
-			break
-		}
-		c.addChunk(chunk, n)
-	}
-	return sc.Err()
-}
-
-// addSourceParallel counts every record of src with an intra-rank
-// worker pool: chunks are sharded across workers on block boundaries,
-// so no direct-kernel block is split, each worker tallying into a
-// private count array merged into c.counts once the scan ends. The merged
-// tallies equal addSource's exactly (int64 sums commute). Returns the
-// wall-clock time of the merge.
-func (c *counter) addSourceParallel(src dataset.Source, chunkRecords, workers int) (mergeSeconds float64, err error) {
+// scratches returns one kernel state per worker. A single worker
+// tallies straight into c.counts; a pool's workers tally into private
+// arrays that merge adds up.
+func (c *counter) scratches(workers int) []countScratch {
 	if workers <= 1 {
-		return 0, c.addSource(src, chunkRecords)
+		return []countScratch{c.newScratch(c.counts)}
 	}
-	d := len(c.g.Dims)
-	scratches := make([]countScratch, workers)
-	for w := range scratches {
-		scratches[w] = c.newScratch(make([]int64, c.cdus.Len()))
+	s := make([]countScratch, workers)
+	for w := range s {
+		s[w] = c.newScratch(make([]int64, len(c.counts)))
 	}
-	n, err := pool.Scan(src, chunkRecords, workers, blockRecords, func(w int, chunk []float64, lo, hi int) {
-		c.addChunkInto(&scratches[w], chunk[lo*d:hi*d], hi-lo)
-	})
-	if err != nil {
-		return 0, err
+	return s
+}
+
+// merge adds the workers' private tallies into c.counts and returns
+// the wall-clock time it took (0 for a single worker, which tallied in
+// place). The merged tallies equal a one-worker pass's exactly (int64
+// sums commute).
+func (c *counter) merge(s []countScratch) float64 {
+	if len(s) == 1 {
+		return 0
 	}
 	start := time.Now()
-	for w := range scratches {
-		for i, v := range scratches[w].counts {
+	for w := range s {
+		for i, v := range s[w].counts {
 			c.counts[i] += v
 		}
 	}
+	return time.Since(start).Seconds()
+}
+
+// scan counts every record of src with an intra-rank worker pool:
+// chunks are sharded across workers on block boundaries, so no
+// direct-kernel block is split, and the workers' tallies are merged
+// once the scan ends. With out non-nil (a direct counter's first pass
+// of a run) the workers also store every block's atom masks in out's
+// frame — disjoint blocks, so disjoint bytes — and out writes the frame
+// after each chunk. Returns the wall-clock time of the merge.
+func (c *counter) scan(src dataset.Source, chunkRecords, workers int, out *binnedCopy) (mergeSeconds float64, err error) {
+	d := len(c.g.Dims)
+	s := c.scratches(workers)
+	var done func(n int)
+	if out != nil {
+		done = out.writeFrame
+	}
+	n, err := pool.Scan(src, chunkRecords, workers, blockRecords, func(w int, chunk []float64, lo, hi int) {
+		var frame []byte
+		if out != nil {
+			frame = out.buf[lo/blockRecords*out.stride:]
+		}
+		c.addChunkInto(&s[w], chunk[lo*d:hi*d], hi-lo, frame)
+	}, done)
+	if err != nil {
+		return 0, err
+	}
 	c.records += n
-	return time.Since(start).Seconds(), nil
+	return c.merge(s), nil
 }
 
 // PopulateCounts counts each CDU's population over src — the
@@ -370,7 +388,7 @@ func (c *counter) addSourceParallel(src dataset.Source, chunkRecords, workers in
 // aligned with cdus.
 func PopulateCounts(g *grid.Grid, cdus *unit.Array, src dataset.Source, chunkRecords, workers int, strategy CountStrategy) ([]int64, error) {
 	cnt := newCounter(g, cdus, strategy)
-	if _, err := cnt.addSourceParallel(src, chunkRecords, workers); err != nil {
+	if _, err := cnt.scan(src, chunkRecords, workers, nil); err != nil {
 		return nil, err
 	}
 	return cnt.counts, nil

@@ -2,6 +2,7 @@ package mafia
 
 import (
 	"math"
+	"slices"
 	"sort"
 	"testing"
 
@@ -171,12 +172,69 @@ func edgeMatrix(r *rng.Source, g *grid.Grid, n int) *dataset.Matrix {
 	return m
 }
 
+// subsetsOf returns two CDU sets whose atoms are all atoms of cdus: a
+// random half of cdus and, for k >= 2, the distinct (k-1)-faces that
+// drop each CDU's last dimension — another K, so other atom ids map to
+// the binned copy's slots.
+func subsetsOf(r *rng.Source, cdus *unit.Array) []*unit.Array {
+	half := unit.New(cdus.K, cdus.Len()/2)
+	for i := 0; i < cdus.Len(); i++ {
+		if r.Intn(2) == 0 {
+			half.AppendRaw(cdus.Unit(i))
+		}
+	}
+	subs := []*unit.Array{half}
+	if cdus.K >= 2 {
+		faces := unit.New(cdus.K-1, cdus.Len())
+		for i := 0; i < cdus.Len(); i++ {
+			d, b := cdus.Unit(i)
+			faces.AppendRaw(d[:cdus.K-1], b[:cdus.K-1])
+		}
+		subs = append(subs, gen.CompactUnique(faces, gen.MarkRepeats(faces, 0, faces.Len())))
+	}
+	return subs
+}
+
+// checkStored runs a direct pass over cdus that writes a binned copy of
+// m, then counts every set of subs from the copy: each must match its
+// oracle counts, and the stored passes must count every record.
+func checkStored(t *testing.T, g *grid.Grid, m *dataset.Matrix, cdus *unit.Array, want []int64, subs []*unit.Array, subWant [][]int64, chunk, workers int) {
+	t.Helper()
+	p := &populator{shard: m, chunk: chunk, workers: workers}
+	defer p.drop()
+	w := newCounter(g, cdus, CountDirect)
+	if _, err := p.count(w); err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(w.counts, want) {
+		t.Fatalf("chunk=%d workers=%d: copy-writing pass counts %v, oracle %v", chunk, workers, w.counts, want)
+	}
+	if p.copy == nil {
+		t.Fatalf("chunk=%d workers=%d: no binned copy written", chunk, workers)
+	}
+	for si, sub := range subs {
+		c := newCounter(g, sub, CountDirect)
+		if _, err := p.count(c); err != nil {
+			t.Fatal(err)
+		}
+		if p.copy == nil {
+			t.Fatalf("chunk=%d workers=%d: binned copy dropped", chunk, workers)
+		}
+		if !slices.Equal(c.counts, subWant[si]) || c.records != int64(m.NumRecords()) {
+			t.Fatalf("chunk=%d workers=%d subset %d (k=%d): stored counts %v over %d records, oracle %v over %d",
+				chunk, workers, si, sub.K, c.counts, c.records, subWant[si], m.NumRecords())
+		}
+	}
+}
+
 // TestCountKernelsAgree is the population-kernel property test: on
 // random variable-width grids and records full of NaN, ±Inf,
 // out-of-domain and on-bound values, every kernel must reproduce the
 // scalar oracle's counts for k from 1 to d, with CDU sets that leave
 // dimensions untouched, chunk sizes that leave partial 64-record blocks,
-// and 1 or 3 workers.
+// and 1 or 3 workers. The stored path counts subsets of each CDU set
+// from the binned copy its direct pass wrote, at the same chunk sizes
+// and worker counts.
 func TestCountKernelsAgree(t *testing.T) {
 	r := rng.New(11)
 	for trial := 0; trial < 8; trial++ {
@@ -204,6 +262,16 @@ func TestCountKernelsAgree(t *testing.T) {
 							}
 						}
 					}
+				}
+			}
+			subs := subsetsOf(rng.New(uint64(100*trial+k)), cdus)
+			subWant := make([][]int64, len(subs))
+			for si, sub := range subs {
+				subWant[si] = oracleCounts(g, sub, m)
+			}
+			for _, chunk := range []int{1, 63, 65, 300} {
+				for _, workers := range []int{1, 3} {
+					checkStored(t, g, m, cdus, want, subs, subWant, chunk, workers)
 				}
 			}
 		}
@@ -306,6 +374,10 @@ func TestCountGroupedDuplicateAttribution(t *testing.T) {
 //   - dense: every cell of 20 three-dimensional subspaces, 20 000 CDUs,
 //     where the direct kernel's per-block AND over every CDU loses to
 //     one cell lookup per subspace.
+//
+// The stored cells time a direct pass that counts the same set from the
+// binned copy a first direct pass wrote (outside the timer): the cost
+// of every direct level after a run's first.
 func BenchmarkPopulateKernels(b *testing.B) {
 	const n, d, xi = 50000, 16, 10
 	r := rng.New(3)
@@ -359,5 +431,22 @@ func BenchmarkPopulateKernels(b *testing.B) {
 				b.ReportMetric(float64(set.cdus.Len()), "cdus")
 			})
 		}
+		b.Run(set.name+"/stored", func(b *testing.B) {
+			p := &populator{shard: m, chunk: 8192, workers: 1}
+			defer p.drop()
+			if _, err := p.count(newCounter(g, set.cdus, CountDirect)); err != nil {
+				b.Fatal(err)
+			}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := p.count(newCounter(g, set.cdus, CountDirect)); err != nil {
+					b.Fatal(err)
+				}
+			}
+			if p.copy == nil {
+				b.Fatal("no binned copy: the cell timed raw passes")
+			}
+			b.ReportMetric(float64(set.cdus.Len()), "cdus")
+		})
 	}
 }

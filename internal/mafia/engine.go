@@ -126,6 +126,8 @@ type engine struct {
 	histDomains []dataset.Range
 	histUnits   int
 	histFlat    []int64
+	// pop runs the population passes and holds the rank's binned copy.
+	pop populator
 }
 
 func (e *engine) run(domains []dataset.Range) (*Result, error) {
@@ -134,6 +136,8 @@ func (e *engine) run(domains []dataset.Range) (*Result, error) {
 	rank := e.c.Rank()
 	root := rec.Start(rank, "run")
 	defer root.End()
+	e.pop = populator{shard: e.shard, chunk: cfg.ChunkRecords, workers: cfg.Workers, rec: rec}
+	defer e.pop.drop() // also on a panic: sp2 recovers it above this frame
 
 	if cfg.Resume != nil {
 		return e.resume(cfg.Resume)
@@ -468,12 +472,13 @@ func (e *engine) dedup(cdus *unit.Array) *unit.Array {
 }
 
 // populate counts each CDU's population over this rank's shard (read
-// in chunks of B records) and sum-reduces to the global counts — the
-// data-parallel heart of the algorithm. It also returns the number of
-// records this rank scanned and the worker-pool merge time.
+// in chunks of B records, or from the rank's binned copy once the first
+// direct pass has written it) and sum-reduces to the global counts —
+// the data-parallel heart of the algorithm. It also returns the number
+// of records this rank counted and the worker-pool merge time.
 func (e *engine) populate(cdus *unit.Array) ([]int64, int64, float64, error) {
 	cnt := newCounter(e.g, cdus, e.cfg.Count)
-	mergeSec, err := cnt.addSourceParallel(e.shard, e.cfg.ChunkRecords, e.cfg.Workers)
+	mergeSec, err := e.pop.count(cnt)
 	if err != nil {
 		return nil, 0, 0, err
 	}

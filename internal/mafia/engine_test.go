@@ -1,12 +1,15 @@
 package mafia
 
 import (
+	"slices"
+	"sync"
 	"testing"
 
 	"pmafia/internal/datagen"
 	"pmafia/internal/dataset"
 	"pmafia/internal/diskio"
 	"pmafia/internal/sp2"
+	"pmafia/internal/unit"
 )
 
 // genData builds a data set with the given clusters over d dims.
@@ -151,37 +154,71 @@ func TestUniformDataYieldsNoClusters(t *testing.T) {
 	}
 }
 
+// densePops returns a Config whose Prune hook records the global
+// population of every dense unit, per level, and passes the units on
+// unchanged; every rank must report the same populations.
+func densePops(t *testing.T, workers int) (Config, map[int][]int64) {
+	var mu sync.Mutex
+	pops := map[int][]int64{}
+	return Config{Workers: workers, Prune: func(du *unit.Array, counts []int64) *unit.Array {
+		mu.Lock()
+		defer mu.Unlock()
+		if prev, ok := pops[du.K]; ok && !slices.Equal(prev, counts) {
+			t.Errorf("level %d: ranks disagree on dense populations: %v vs %v", du.K, prev, counts)
+		}
+		pops[du.K] = slices.Clone(counts)
+		return du
+	}}, pops
+}
+
+// TestParallelMatchesSerial: at p ∈ {2, 4, 16} ranks of 1 or 3 workers
+// — at p = 16 each rank's binned copy is a few partial blocks, and 3
+// workers write and read it pooled — every level's CDU and dense-unit
+// counts, every dense unit's population, and every cluster equal the
+// serial run's.
 func TestParallelMatchesSerial(t *testing.T) {
 	m, _ := genData(t, 8, 6000, 5, box(40, 52, 0, 2, 5))
-	serial, err := Run(m, Config{})
+	cfg, want := densePops(t, 0)
+	serial, err := Run(m, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, p := range []int{2, 4} {
-		shards := make([]dataset.Source, p)
-		n := m.NumRecords()
-		for r := 0; r < p; r++ {
-			lo, hi := diskio.ShareBounds(n, r, p)
-			shards[r] = m.Slice(lo, hi)
-		}
-		par, err := RunParallel(shards, nil, Config{}, sp2.Config{Procs: p})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(par.Clusters) != len(serial.Clusters) {
-			t.Fatalf("p=%d: %d clusters vs serial %d", p, len(par.Clusters), len(serial.Clusters))
-		}
-		if len(par.Levels) != len(serial.Levels) {
-			t.Fatalf("p=%d: %d levels vs serial %d", p, len(par.Levels), len(serial.Levels))
-		}
-		for i := range par.Levels {
-			if !sameCounts(par.Levels[i], serial.Levels[i]) {
-				t.Errorf("p=%d level %d: %+v vs serial %+v", p, i, par.Levels[i], serial.Levels[i])
+	for _, p := range []int{2, 4, 16} {
+		for _, workers := range []int{1, 3} {
+			shards := make([]dataset.Source, p)
+			n := m.NumRecords()
+			for r := 0; r < p; r++ {
+				lo, hi := diskio.ShareBounds(n, r, p)
+				shards[r] = m.Slice(lo, hi)
 			}
-		}
-		for i := range par.Clusters {
-			if par.Clusters[i].String() != serial.Clusters[i].String() {
-				t.Errorf("p=%d cluster %d: %v vs %v", p, i, par.Clusters[i].String(), serial.Clusters[i].String())
+			cfg, got := densePops(t, workers)
+			par, err := RunParallel(shards, nil, cfg, sp2.Config{Procs: p})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(par.Clusters) != len(serial.Clusters) {
+				t.Fatalf("p=%d workers=%d: %d clusters vs serial %d", p, workers, len(par.Clusters), len(serial.Clusters))
+			}
+			if len(par.Levels) != len(serial.Levels) {
+				t.Fatalf("p=%d workers=%d: %d levels vs serial %d", p, workers, len(par.Levels), len(serial.Levels))
+			}
+			for i := range par.Levels {
+				if !sameCounts(par.Levels[i], serial.Levels[i]) {
+					t.Errorf("p=%d workers=%d level %d: %+v vs serial %+v", p, workers, i, par.Levels[i], serial.Levels[i])
+				}
+			}
+			if len(got) != len(want) {
+				t.Errorf("p=%d workers=%d: dense populations for %d levels, serial %d", p, workers, len(got), len(want))
+			}
+			for k, w := range want {
+				if !slices.Equal(got[k], w) {
+					t.Errorf("p=%d workers=%d level %d: dense populations %v, serial %v", p, workers, k, got[k], w)
+				}
+			}
+			for i := range par.Clusters {
+				if par.Clusters[i].String() != serial.Clusters[i].String() {
+					t.Errorf("p=%d workers=%d cluster %d: %v vs %v", p, workers, i, par.Clusters[i].String(), serial.Clusters[i].String())
+				}
 			}
 		}
 	}

@@ -9,6 +9,7 @@ import (
 	"pmafia/internal/dataset"
 	"pmafia/internal/gen"
 	"pmafia/internal/grid"
+	"pmafia/internal/rng"
 	"pmafia/internal/unit"
 )
 
@@ -17,7 +18,8 @@ import (
 // fine units, domains, the bin tiling), the CDU set, the chunk size and
 // the worker count; the record bytes are raw float64 bit patterns, so
 // NaN payloads, ±Inf, subnormals and values far outside the domain all
-// reach the kernels' binning.
+// reach the kernels' binning. The stored path counts subsets of the CDU
+// set from the binned copy a direct pass over it wrote.
 func FuzzPopulateKernels(f *testing.F) {
 	bitsOf := func(vals ...float64) []byte {
 		b := make([]byte, 8*len(vals))
@@ -102,5 +104,12 @@ func FuzzPopulateKernels(f *testing.F) {
 				}
 			}
 		}
+
+		subs := subsetsOf(rng.New(uint64(len(recs))), cdus)
+		subWant := make([][]int64, len(subs))
+		for si, sub := range subs {
+			subWant[si] = oracleCounts(g, sub, m)
+		}
+		checkStored(t, g, m, cdus, want, subs, subWant, chunk, workers)
 	})
 }

@@ -18,22 +18,30 @@ import (
 // through a Grid, a model of one dimension whose single bin covers
 // fineUnits fine units, with no levels and no clusters.
 func oneDimPayload(fineUnits uint32) []byte {
+	return gridPayload(1, fineUnits)
+}
+
+// gridPayload is oneDimPayload over dims dimensions, each with
+// fineUnits fine units in one bin.
+func gridPayload(dims int, fineUnits uint32) []byte {
 	var e enc
 	e.u64(100) // records
 	e.f64(0)   // seconds
-	e.u32(1)   // dims
-	e.u32(0)   // index
-	e.f64(0)   // domain lo
-	e.f64(1)   // domain hi
-	e.u8(0)    // uniform
-	e.u32(fineUnits)
-	e.u32(1) // bins
-	e.f64(0)
-	e.f64(1)
-	e.u32(0)
-	e.u32(fineUnits)
-	e.u64(100)
-	e.f64(1)
+	e.u32(uint32(dims))
+	for i := 0; i < dims; i++ {
+		e.u32(uint32(i)) // index
+		e.f64(0)         // domain lo
+		e.f64(1)         // domain hi
+		e.u8(0)          // uniform
+		e.u32(fineUnits)
+		e.u32(1) // bins
+		e.f64(0)
+		e.f64(1)
+		e.u32(0)
+		e.u32(fineUnits)
+		e.u64(100)
+		e.f64(1)
+	}
 	e.u32(0) // levels
 	e.u32(0) // clusters
 	return e.buf.Bytes()
@@ -64,6 +72,37 @@ func TestLoadRejectsOverwideFineUnits(t *testing.T) {
 		}
 		if !tc.ok && !errors.Is(err, ErrCorrupt) {
 			t.Errorf("%d fine units: got %v, want ErrCorrupt", tc.units, err)
+		}
+	}
+}
+
+// TestLoadRejectsOversizedGrid: every dimension within the per-dim
+// cap is not enough. A checksum-valid model of about 17 KB with 255
+// dims of 2^20 fine units each would size about 255 MB of grid tables
+// (and twice that in the assignment index), so a grid past
+// grid.MaxTotalFineUnits in all is corrupt; a grid at that total loads.
+func TestLoadRejectsOversizedGrid(t *testing.T) {
+	dir := t.TempDir()
+	for _, tc := range []struct {
+		dims  int
+		units uint32
+		ok    bool
+	}{
+		{8, grid.MaxTotalFineUnits / 8, true},
+		{9, grid.MaxTotalFineUnits / 8, false},
+		{255, grid.MaxFineUnits, false},
+	} {
+		p := gridPayload(tc.dims, tc.units)
+		path := filepath.Join(dir, "m.pmfm")
+		if err := os.WriteFile(path, append(header(p, 1), p...), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		_, err := Load(path)
+		if tc.ok && err != nil {
+			t.Errorf("%d dims × %d fine units: %v", tc.dims, tc.units, err)
+		}
+		if !tc.ok && !errors.Is(err, ErrCorrupt) {
+			t.Errorf("%d dims × %d fine units: got %v, want ErrCorrupt", tc.dims, tc.units, err)
 		}
 	}
 }

@@ -1,8 +1,8 @@
 // Package pool implements the intra-rank worker pool of the
-// out-of-core pipeline: each chunk a scanner yields is sharded across a
-// fixed set of worker goroutines, every worker folds its record range
-// into worker-private tallies, and the caller merges the partials once
-// the scan ends.
+// out-of-core pipeline: each batch of items (a scanner's chunk of
+// records, a frame of record blocks) is sharded across a fixed set of
+// worker goroutines, every worker folds its range into worker-private
+// tallies, and the caller merges the partials once the run ends.
 package pool
 
 import (
@@ -11,45 +11,42 @@ import (
 	"pmafia/internal/dataset"
 )
 
-// Scan reads src in chunks of chunkRecords and shards each chunk's
-// records across workers goroutines: fn(w, chunk, lo, hi) processes
-// records [lo, hi) of the chunk on worker w and must touch only state
-// private to that worker. Chunk boundaries are barriers — calls for
-// chunk k+1 begin only after every worker finished chunk k, because
-// scanners may reuse the chunk buffer. With workers <= 1 the scan runs
-// inline with no goroutines. Returns the number of records scanned.
+// Run shards successive batches across workers goroutines. next
+// returns the item count of the next batch, 0 ending the run;
+// fn(w, lo, hi) processes items [lo, hi) of the current batch on worker
+// w and must touch only state private to that worker (and the batch's
+// items [lo, hi)); done(n), when non-nil, runs on the calling goroutine
+// once every worker has finished the batch of n items. Batch boundaries
+// are barriers — next is not called again before done returns — so
+// next and done may reuse the buffers the workers read and write. With
+// workers <= 1 the run is inline with no goroutines. Returns the total
+// item count.
 //
 // Shard boundaries are rounded up to multiples of align within each
-// chunk (the final boundary stays the chunk end). Batch-kernel callers
+// batch (the final boundary stays the batch end). Batch-kernel callers
 // pass their block size so a kernel block is never split across two
-// workers: every shard but the chunk's last is a whole number of
-// blocks. Workers whose rounded range is empty skip the chunk. align
-// <= 1 cuts the chunk into near-equal shards.
-func Scan(src dataset.Source, chunkRecords, workers, align int, fn func(w int, chunk []float64, lo, hi int)) (int64, error) {
+// workers: every shard but the batch's last is a whole number of
+// blocks. Workers whose rounded range is empty skip the batch. align
+// <= 1 cuts the batch into near-equal shards.
+func Run(workers, align int, next func() int, fn func(w, lo, hi int), done func(n int)) int64 {
 	if align < 1 {
 		align = 1
 	}
-	sc := src.Scan(chunkRecords)
-	defer sc.Close()
+	var total int64
 	if workers <= 1 {
-		var total int64
-		for {
-			chunk, n := sc.Next()
-			if n == 0 {
-				break
+		for n := next(); n > 0; n = next() {
+			fn(0, 0, n)
+			if done != nil {
+				done(n)
 			}
-			fn(0, chunk, 0, n)
 			total += int64(n)
 		}
-		return total, sc.Err()
+		return total
 	}
 
-	type job struct {
-		chunk  []float64
-		lo, hi int
-	}
+	type job struct{ lo, hi int }
 	jobs := make([]chan job, workers)
-	var chunkWG sync.WaitGroup // per-chunk barrier
+	var batchWG sync.WaitGroup // per-batch barrier
 	var exitWG sync.WaitGroup  // worker shutdown
 	for w := 0; w < workers; w++ {
 		ch := make(chan job, 1)
@@ -59,38 +56,49 @@ func Scan(src dataset.Source, chunkRecords, workers, align int, fn func(w int, c
 			defer exitWG.Done()
 			for j := range ch {
 				if j.hi > j.lo {
-					fn(w, j.chunk, j.lo, j.hi)
+					fn(w, j.lo, j.hi)
 				}
-				chunkWG.Done()
+				batchWG.Done()
 			}
 		}(w, ch)
 	}
-	var total int64
-	for {
-		chunk, n := sc.Next()
-		if n == 0 {
-			break
-		}
+	for n := next(); n > 0; n = next() {
 		cut := func(w int) int {
 			if w >= workers {
 				return n
 			}
-			b := (w*n/workers + align - 1) / align * align
-			if b > n {
-				b = n
-			}
-			return b
+			return min((w*n/workers+align-1)/align*align, n)
 		}
-		chunkWG.Add(workers)
+		batchWG.Add(workers)
 		for w := 0; w < workers; w++ {
-			jobs[w] <- job{chunk: chunk, lo: cut(w), hi: cut(w + 1)}
+			jobs[w] <- job{lo: cut(w), hi: cut(w + 1)}
 		}
-		chunkWG.Wait()
+		batchWG.Wait()
+		if done != nil {
+			done(n)
+		}
 		total += int64(n)
 	}
 	for _, ch := range jobs {
 		close(ch)
 	}
 	exitWG.Wait()
+	return total
+}
+
+// Scan is Run over the records of src read in chunks of chunkRecords:
+// fn(w, chunk, lo, hi) processes records [lo, hi) of the chunk on
+// worker w, and done(n), when non-nil, runs after each chunk of n
+// records. Chunk boundaries are barriers, because scanners may reuse
+// the chunk buffer. Returns the number of records scanned.
+func Scan(src dataset.Source, chunkRecords, workers, align int, fn func(w int, chunk []float64, lo, hi int), done func(n int)) (int64, error) {
+	sc := src.Scan(chunkRecords)
+	defer sc.Close()
+	var chunk []float64
+	total := Run(workers, align, func() int {
+		var n int
+		chunk, n = sc.Next()
+		return n
+	}, func(w, lo, hi int) { fn(w, chunk, lo, hi) }, done)
 	return total, sc.Err()
 }

@@ -27,7 +27,7 @@ func TestScanCoversEveryRecordOnce(t *testing.T) {
 				for r := lo; r < hi; r++ {
 					atomic.AddInt32(&seen[int(c[r*d])], 1)
 				}
-			})
+			}, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -61,7 +61,7 @@ func TestScanWorkerPrivacy(t *testing.T) {
 			_ = c[r*d]
 		}
 		atomic.AddInt32(&busy[w], -1)
-	})
+	}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,7 +95,7 @@ func TestScanAlignedShardCuts(t *testing.T) {
 						for r := lo; r < hi; r++ {
 							atomic.AddInt32(&seen[int(c[r*d])], 1)
 						}
-					})
+					}, nil)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -119,9 +119,44 @@ func TestScanEmptySource(t *testing.T) {
 	for _, workers := range []int{1, 3} {
 		total, err := Scan(m, 16, workers, 1, func(int, []float64, int, int) {
 			t.Error("callback on empty source")
-		})
+		}, nil)
 		if err != nil || total != 0 {
 			t.Fatalf("total=%d err=%v", total, err)
+		}
+	}
+}
+
+// TestRunDoneAfterEveryWorker checks the per-batch hook: done(n) runs
+// once per batch, in batch order, after every shard of that batch and
+// before next yields the following batch, for inline and pooled runs.
+func TestRunDoneAfterEveryWorker(t *testing.T) {
+	sizes := []int{5, 64, 1, 130, 7}
+	for _, workers := range []int{1, 3} {
+		var pending atomic.Int64 // items of the current batch not yet processed
+		batch, calls := 0, 0
+		total := Run(workers, 4, func() int {
+			if pending.Load() != 0 {
+				t.Errorf("workers=%d: next called with %d items unprocessed", workers, pending.Load())
+			}
+			if batch == len(sizes) {
+				return 0
+			}
+			pending.Store(int64(sizes[batch]))
+			return sizes[batch]
+		}, func(w, lo, hi int) {
+			pending.Add(-int64(hi - lo))
+		}, func(n int) {
+			if pending.Load() != 0 || n != sizes[batch] {
+				t.Errorf("workers=%d batch %d: done(%d) with %d items unprocessed", workers, batch, n, pending.Load())
+			}
+			batch++
+			calls++
+		})
+		if calls != len(sizes) {
+			t.Errorf("workers=%d: done ran %d times for %d batches", workers, calls, len(sizes))
+		}
+		if total != 207 {
+			t.Errorf("workers=%d: total %d, want 207", workers, total)
 		}
 	}
 }

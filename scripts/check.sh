@@ -1,11 +1,14 @@
 #!/bin/sh
 # Extended tier-1 gate: vet, formatting, and the full test suite under
-# the race detector. With -smoke it additionally runs the fuzz smoke
-# (every untrusted-input decoder: .pmaf files, checkpoints, .pmfm
-# models, CSV and framed request bodies; plus the population kernels)
-# and the self-test of the repository benchmark (perfbench/, its own Go
-# module; see perfbench/README.md). Run from the repository root (or
-# via `make check`, which passes -smoke).
+# the race detector, then named gates that must each resolve to real
+# tests (metric names, serving, population kernels and the binned copy
+# they count from, hot swap, recovery). With -smoke it additionally
+# runs the fuzz smoke (every untrusted-input decoder: .pmaf files,
+# checkpoints, .pmfm models, CSV and framed request bodies; plus the
+# population kernels, raw and stored) and the self-test of the
+# repository benchmark (perfbench/, its own Go module; see
+# perfbench/README.md). Run from the repository root (or via `make
+# check`, which passes -smoke).
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -94,10 +97,15 @@ gate -run 'TestConcurrentAssignAndScrape' ./internal/daemon -race -count=1
 gate -run 'TestPropertyMatchesOracle|TestFittedModelMatchesEngineAssign' ./internal/assign -race -count=1
 
 # The fit path's population kernels (bit-sliced direct, grouped bitset,
-# grouped map) must agree count for count with the scalar per-record
-# oracle on edge-case records, partial blocks, and sharded workers.
-echo "== population-kernel differential gate (kernels vs scalar oracle)"
-gate -run 'TestCountKernelsAgree' ./internal/mafia -race -count=1
+# grouped map, and the direct kernel counting from the binned copy)
+# must agree count for count with the scalar per-record oracle on
+# edge-case records, partial blocks, and sharded workers; parallel fits
+# whose ranks count from pooled copies must equal the serial fit; a
+# damaged or uncreatable copy must fall back to the shard with the
+# oracle's counts, a missing atom must fail, and no copy may outlive
+# its fit.
+echo "== population-kernel differential gate (kernels and binned copy vs scalar oracle)"
+gate -run 'TestCountKernelsAgree|TestParallelMatchesSerial|TestBinnedCopyCorruptFallsBack|TestBinnedCopyUncreatableKeepsRawPasses|TestBinnedCopyMissingAtomErrors|TestBinnedCopyLeavesNoFiles' ./internal/mafia -race -count=1
 
 # Swap-under-load gate: while sustained traffic runs, the served model
 # file is rewritten with alternating generations (and once with
