@@ -11,11 +11,11 @@ package daemon
 //	16      8*dims*records  row-major little-endian float64 values
 //
 // The header declares the payload size up front, so the decoder
-// allocates the float64 output once and streams the body into it
-// through a small fixed staging buffer — no intermediate whole-body
-// copy — and a hostile length can be rejected before any payload is
-// read. Every malformed input maps to a typed error below;
-// the decoder never panics and never reads past the declared payload.
+// allocates the float64 output once and reads the body straight into
+// it — no staging buffer, no per-value copy on a little-endian host —
+// and a hostile length can be rejected before any payload is read.
+// Every malformed input maps to a typed error below; the decoder never
+// panics and never reads past the declared payload.
 
 import (
 	"encoding/binary"
@@ -23,6 +23,8 @@ import (
 	"fmt"
 	"io"
 	"math"
+
+	"pmafia/internal/dataset"
 )
 
 // ContentTypeFrame is the Content-Type that selects the framed binary
@@ -101,24 +103,15 @@ func decodeFrame(r io.Reader, wantDims int, maxBytes int64) ([]float64, error) {
 		return nil, fmt.Errorf("%w: %d records of %d dims", ErrFrameTooLarge, records, dims)
 	}
 	vals := make([]float64, int64(records)*int64(dims))
-	var stage [8192]byte
-	for off := 0; off < len(vals); {
-		want := (len(vals) - off) * 8
-		if want > len(stage) {
-			want = len(stage)
+	if _, err := io.ReadFull(r, dataset.Bytes(vals)); err != nil {
+		if err == io.EOF || err == io.ErrUnexpectedEOF {
+			return nil, ErrFrameTruncated
 		}
-		if _, err := io.ReadFull(r, stage[:want]); err != nil {
-			if err == io.EOF || err == io.ErrUnexpectedEOF {
-				return nil, ErrFrameTruncated
-			}
-			return nil, err
-		}
-		for i := 0; i < want; i += 8 {
-			vals[off] = math.Float64frombits(binary.LittleEndian.Uint64(stage[i:]))
-			off++
-		}
+		return nil, err
 	}
-	if n, err := r.Read(stage[:1]); n != 0 {
+	dataset.FromLittleEndian(vals)
+	// The header is parsed; its first byte probes for trailing bytes.
+	if n, err := r.Read(hdr[:1]); n != 0 {
 		return nil, ErrFrameTrailing
 	} else if err != nil && err != io.EOF {
 		return nil, err

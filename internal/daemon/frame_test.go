@@ -8,6 +8,7 @@ import (
 	"io"
 	"math"
 	"net/http"
+	"runtime"
 	"testing"
 
 	"pmafia/internal/obs"
@@ -131,6 +132,17 @@ func FuzzAssignFrame(f *testing.F) {
 		binary.LittleEndian.PutUint32(hostile[12:], math.MaxUint32)
 		f.Add(hostile, 3)
 	}
+	// A payload of the values an in-place decode must carry bit for
+	// bit: NaN payloads, signed zeros, infinities, subnormals.
+	if seed, err := EncodeFrame(4, []float64{
+		math.NaN(), math.Float64frombits(0x7ff0000000000001), math.Float64frombits(0xfff8dead0000beef), 1,
+		0, math.Copysign(0, -1), math.Inf(1), math.Inf(-1),
+		math.SmallestNonzeroFloat64, -math.SmallestNonzeroFloat64, math.Float64frombits(0x000fffffffffffff), math.MaxFloat64,
+	}); err != nil {
+		f.Fatal(err)
+	} else {
+		f.Add(seed, 4)
+	}
 	const maxBytes = 1 << 16
 	f.Fuzz(func(t *testing.T, data []byte, wantDims int) {
 		if wantDims < 1 || wantDims > 256 {
@@ -161,5 +173,43 @@ func FuzzAssignFrame(f *testing.F) {
 		if records := binary.LittleEndian.Uint32(data[12:]); int(records)*wantDims != len(vals) {
 			t.Fatalf("header declares %d records, decoder returned %d values", records, len(vals))
 		}
+		// Every value is the per-value little-endian decode of its
+		// payload bytes, bit for bit.
+		for i, v := range vals {
+			if want := binary.LittleEndian.Uint64(data[frameHeaderSize+8*i:]); math.Float64bits(v) != want {
+				t.Fatalf("value %d = %#x, payload holds %#x", i, math.Float64bits(v), want)
+			}
+		}
 	})
+}
+
+// TestDecodeFrameAllocatesOnlyValues pins the in-place decode: a frame
+// of 8 records × 10 dims allocates its 640-byte value slice and at
+// most 64 bytes more per call, with no staging buffer.
+func TestDecodeFrameAllocatesOnlyValues(t *testing.T) {
+	const dims, records, calls = 10, 8, 2000
+	vals := make([]float64, dims*records)
+	for i := range vals {
+		vals[i] = float64(i) / 3
+	}
+	frame := frameBody(t, dims, vals)
+	rd := bytes.NewReader(frame)
+	decode := func() {
+		rd.Reset(frame)
+		got, err := decodeFrame(rd, dims, 1<<20)
+		if err != nil || len(got) != len(vals) {
+			t.Fatalf("decode: %d values, %v", len(got), err)
+		}
+	}
+	decode()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < calls; i++ {
+		decode()
+	}
+	runtime.ReadMemStats(&after)
+	perCall := (after.TotalAlloc - before.TotalAlloc) / calls
+	if limit := uint64(8*dims*records + 64); perCall > limit {
+		t.Fatalf("decodeFrame allocated %d bytes per call, want at most %d", perCall, limit)
+	}
 }

@@ -1,7 +1,8 @@
 // Package dataset defines the record model shared by the clustering
 // engines: d-dimensional numeric records, chunked scanning (so the same
-// algorithms run in-core and out-of-core), per-dimension domains, and a
-// CSV codec for interchange.
+// algorithms run in-core and out-of-core), per-dimension domains, a
+// CSV codec for interchange, and a byte view through which readers of
+// little-endian float64 payloads decode in place.
 package dataset
 
 import (

@@ -60,7 +60,8 @@ import (
 // A frame is frameRecords consecutive records (the last frame may be
 // shorter); its checksum covers the frame's raw data bytes. Sequential
 // scans verify every frame they fully traverse; a ScanRange that starts
-// mid-frame verifies from the first frame boundary it crosses.
+// mid-frame verifies from the first frame boundary it crosses, and one
+// that ends mid-frame reads the rest of that frame to verify it.
 const (
 	magic          = "PMAF"
 	version1       = 1
@@ -561,7 +562,10 @@ func (f *File) Scan(chunkRecords int) dataset.Scanner {
 // ScanRange returns a scanner over records [lo, hi), used by ranks that
 // process a contiguous share of a shared file. On v2 files the scan
 // verifies the checksum of every frame it fully traverses (a range
-// starting mid-frame is verified from the next frame boundary on).
+// starting mid-frame is verified from the next frame boundary on), and
+// of the frame its range ends inside once it has checksummed that
+// frame from its first record: the frame across a ShareBounds cut is
+// verified by the rank whose share holds its head.
 func (f *File) ScanRange(lo, hi, chunkRecords int) dataset.Scanner {
 	if chunkRecords <= 0 {
 		chunkRecords = 1
@@ -582,7 +586,6 @@ func (f *File) ScanRange(lo, hi, chunkRecords int) dataset.Scanner {
 		next:     lo,
 		end:      hi,
 		vals:     make([]float64, chunkRecords*f.d),
-		raw:      make([]byte, chunkRecords*f.d*8),
 		chunkR:   chunkRecords,
 		crcValid: f.version == version2 && f.frameRecs > 0 && lo%f.frameRecs == 0,
 	}
@@ -591,10 +594,9 @@ func (f *File) ScanRange(lo, hi, chunkRecords int) dataset.Scanner {
 type fileScanner struct {
 	f        *File
 	h        *os.File
-	next     int // next absolute record index to serve
+	next     int // next absolute record index to read
 	end      int // absolute end of the scanned range
 	vals     []float64
-	raw      []byte
 	chunkR   int
 	chunkIdx int64
 	crc      uint32 // running CRC32C of the current checksum frame
@@ -602,54 +604,85 @@ type fileScanner struct {
 	err      error
 }
 
-// Next reads the next chunk into the scanner's buffers: read with
-// retry, verify the checksum frames it crosses, decode. It returns
-// (nil, 0) at the end of the range and on the first error (see Err).
+// Next reads the next chunk into the scanner's one buffer, verifies
+// the checksum frames it crosses and only then decodes the values in
+// place. At the end of the range it verifies the frame the range ends
+// inside (see ScanRange). It returns (nil, 0) at the end of the range
+// and on the first error (see Err).
 func (s *fileScanner) Next() ([]float64, int) {
-	if s.err != nil || s.next >= s.end {
+	if s.err != nil {
 		return nil, 0
 	}
-	n := s.chunkR
-	if n > s.end-s.next {
-		n = s.end - s.next
+	if s.next >= s.end {
+		s.err = s.verifyTail()
+		return nil, 0
 	}
-	nb := n * s.f.d * 8
-	off := s.f.dataOff + int64(s.next)*int64(s.f.d)*8
-	raw, vals := s.raw[:nb], s.vals[:n*s.f.d]
-	if err := s.readChunk(raw, off, nb); err != nil {
+	n := min(s.chunkR, s.end-s.next)
+	vals, err := s.load(n)
+	if err != nil {
 		s.err = err
 		return nil, 0
 	}
-	atomic.AddInt64(&s.f.stats.BytesRead, int64(nb))
+	dataset.FromLittleEndian(vals)
+	return vals, n
+}
+
+// load reads records [next, next+n) into the scanner's buffer with
+// retry, feeds them to the checksum of every frame they cross, and
+// advances past them. The values are left in the file's byte order.
+func (s *fileScanner) load(n int) ([]float64, error) {
+	vals := s.vals[:n*s.f.d]
+	b := dataset.Bytes(vals)
+	if err := s.readChunk(b); err != nil {
+		return nil, err
+	}
+	atomic.AddInt64(&s.f.stats.BytesRead, int64(len(b)))
 	atomic.AddInt64(&s.f.stats.Reads, 1)
 	if s.f.rec != nil {
 		s.f.rec.AddGlobal(obs.CtrDiskChunks, 1)
-		s.f.rec.AddGlobal(obs.CtrDiskBytes, int64(nb))
+		s.f.rec.AddGlobal(obs.CtrDiskBytes, int64(len(b)))
 	}
 	if s.f.version == version2 {
-		if err := s.checkFrames(raw, s.next, n); err != nil {
+		if err := s.checkFrames(b, s.next, n); err != nil {
 			atomic.AddInt64(&s.f.stats.Corruptions, 1)
 			if s.f.rec != nil {
 				s.f.rec.AddGlobal(obs.CtrDiskCorruptions, 1)
 			}
-			s.err = err
-			return nil, 0
+			return nil, err
 		}
-	}
-	for i := range vals {
-		vals[i] = math.Float64frombits(binary.LittleEndian.Uint64(raw[8*i:]))
 	}
 	s.next += n
 	s.chunkIdx++
-	return vals, n
+	return vals, nil
 }
 
-// readChunk fills raw[:nb] from offset off, retrying transient
-// failures (including injected ones) with exponential backoff. Reads
-// that run past the end of the file are truncation — permanent, never
-// retried. After the retry budget is spent the failure surfaces as a
-// *ChunkError naming the chunk.
-func (s *fileScanner) readChunk(raw []byte, off int64, nb int) error {
+// verifyTail completes the checksum of the frame the range ends
+// inside, when the scan has checksummed it from its first record: the
+// frame's remaining records are read, in chunks of at most the
+// scanner's size and under the next chunk ordinals, into the buffer
+// whose last chunk the caller no longer holds. A range lying inside a
+// single frame never saw a frame start and verifies nothing.
+func (s *fileScanner) verifyTail() error {
+	fr := s.f.frameRecs
+	if !s.crcValid || s.next%fr == 0 || s.next >= s.f.n {
+		return nil
+	}
+	frameEnd := min((s.next/fr+1)*fr, s.f.n)
+	for s.next < frameEnd {
+		if _, err := s.load(min(s.chunkR, frameEnd-s.next)); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// readChunk fills b with the records starting at next, retrying
+// transient failures (including injected ones) with exponential
+// backoff. Reads that run past the end of the file are truncation —
+// permanent, never retried. After the retry budget is spent the
+// failure surfaces as a *ChunkError naming the chunk.
+func (s *fileScanner) readChunk(b []byte) error {
+	off := s.f.dataOff + int64(s.next)*int64(s.f.d)*8
 	var lastErr error
 	for attempt := 0; ; attempt++ {
 		if attempt > 0 {
@@ -659,7 +692,7 @@ func (s *fileScanner) readChunk(raw []byte, off int64, nb int) error {
 			}
 			time.Sleep(s.f.backoff << (attempt - 1))
 		}
-		err := s.readOnce(raw, off, nb)
+		err := s.readOnce(b, off)
 		if err == nil {
 			return nil
 		}
@@ -675,7 +708,7 @@ func (s *fileScanner) readChunk(raw []byte, off int64, nb int) error {
 		Path:     s.f.path,
 		Chunk:    s.chunkIdx,
 		RecLo:    s.next,
-		RecHi:    s.next + nb/(8*s.f.d),
+		RecHi:    s.next + len(b)/(8*s.f.d),
 		Attempts: s.f.maxRetries + 1,
 		Err:      lastErr,
 	}
@@ -686,29 +719,29 @@ func (s *fileScanner) readChunk(raw []byte, off int64, nb int) error {
 // after a successful read — on a v2 file the frame checksum catches it;
 // on a v1 file it silently becomes garbage data, which is exactly the
 // failure mode the v2 format exists to close.
-func (s *fileScanner) readOnce(raw []byte, off int64, nb int) error {
+func (s *fileScanner) readOnce(b []byte, off int64) error {
 	if k, ok := s.f.plan.ReadFault(s.chunkIdx); ok {
 		switch k {
 		case faults.ReadError:
 			return faults.ErrRead
 		case faults.ShortRead:
-			half := nb / 2
+			half := len(b) / 2
 			if half > 0 {
-				if _, err := s.h.ReadAt(raw[:half], off); err != nil {
+				if _, err := s.h.ReadAt(b[:half], off); err != nil {
 					return err
 				}
 			}
-			return fmt.Errorf("%w: %d of %d bytes", faults.ErrShortRead, half, nb)
+			return fmt.Errorf("%w: %d of %d bytes", faults.ErrShortRead, half, len(b))
 		case faults.BitFlip:
-			if _, err := s.h.ReadAt(raw[:nb], off); err != nil {
+			if _, err := s.h.ReadAt(b, off); err != nil {
 				return err
 			}
-			pos := s.f.plan.BitPos(s.chunkIdx, int64(nb)*8)
-			raw[pos/8] ^= 1 << uint(pos%8)
+			pos := s.f.plan.BitPos(s.chunkIdx, int64(len(b))*8)
+			b[pos/8] ^= 1 << uint(pos%8)
 			return nil
 		}
 	}
-	_, err := s.h.ReadAt(raw[:nb], off)
+	_, err := s.h.ReadAt(b, off)
 	return err
 }
 

@@ -95,17 +95,18 @@ func (h *Hist) AddRecord(rec []float64) {
 // AddChunk counts n row-major records with the allocation-free flat
 // kernel: unit indices are computed from the mirrored lo/width arrays
 // (the exact UnitOf expression, so both paths bin identically) and
-// bumped directly in the flat backing array.
+// bumped directly in the flat backing array. It walks the chunk one
+// dimension at a time, so only that dimension's count row is hot.
 func (h *Hist) AddChunk(chunk []float64, n int) {
 	d := len(h.Domains)
 	units := h.Units
 	uf := float64(units)
-	flat := h.flat
-	for r := 0; r < n; r++ {
-		rec := chunk[r*d : (r+1)*d]
-		base := 0
-		for dim, v := range rec {
-			f := uf * (v - h.lo[dim]) / h.width[dim]
+	rows := chunk[:n*d]
+	for dim := 0; dim < d; dim++ {
+		lo, width := h.lo[dim], h.width[dim]
+		counts := h.flat[dim*units : (dim+1)*units]
+		for p := dim; p < len(rows); p += d {
+			f := uf * (rows[p] - lo) / width
 			var u int
 			switch {
 			case !(f > 0): // also catches NaN
@@ -115,8 +116,7 @@ func (h *Hist) AddChunk(chunk []float64, n int) {
 			default:
 				u = int(f)
 			}
-			flat[base+u]++
-			base += units
+			counts[u]++
 		}
 	}
 	h.N += int64(n)

@@ -1,14 +1,14 @@
 #!/bin/sh
-# Extended tier-1 gate: vet, formatting, and the full test suite under
-# the race detector, then named gates that must each resolve to real
-# tests (metric names, serving, population kernels and the binned copy
-# they count from, hot swap, recovery). With -smoke it additionally
-# runs the fuzz smoke (every untrusted-input decoder: .pmaf files,
-# checkpoints, .pmfm models, CSV and framed request bodies; plus the
-# population kernels, raw and stored) and the self-test of the
-# repository benchmark (perfbench/, its own Go module; see
-# perfbench/README.md). Run from the repository root (or via `make
-# check`, which passes -smoke).
+# Extended tier-1 gate: vet (also for a big-endian target), formatting,
+# and the full test suite under the race detector, then named gates
+# that must each resolve to real tests (metric names, serving,
+# population kernels and the binned copy they count from, hot swap,
+# recovery). With -smoke it additionally runs the fuzz smoke (every
+# untrusted-input decoder: .pmaf files, checkpoints, .pmfm models, CSV
+# and framed request bodies; plus the population kernels, raw and
+# stored) and the self-test of the repository benchmark (perfbench/,
+# its own Go module; see perfbench/README.md). Run from the repository
+# root (or via `make check`, which passes -smoke).
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -41,6 +41,14 @@ gate() {
 
 echo "== go vet ./..."
 go vet ./...
+
+# Record files and PMAS frames are decoded in place, which on a
+# big-endian host takes a byte-swap branch no CI host runs natively.
+# Cross-vetting for s390x (offline, from GOROOT) keeps that branch
+# compiling and vetted; TestReverseBytesDecodesForeignOrder checks its
+# logic on the host.
+echo "== GOARCH=s390x go vet ./... (big-endian build)"
+GOARCH=s390x go vet ./...
 
 echo "== gofmt -l"
 unformatted=$(gofmt -l .)
