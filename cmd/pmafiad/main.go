@@ -24,13 +24,11 @@
 // Chrome trace_event JSON at /debug/trace and linked from /metrics as
 // OpenMetrics exemplars. -trace-sample additionally head-samples
 // ordinary requests into the ring and propagates W3C traceparent
-// headers. -pprof mounts net/http/pprof under /debug/pprof/;
-// -profile-dir adds periodic CPU/heap pprof captures indexed at
-// /debug/profiles. The daemon bounds concurrent
-// assignment work (-max-inflight), times out slow requests (-timeout),
-// caps request bodies (-max-body), and shuts down gracefully on
-// SIGINT/SIGTERM: /readyz flips to 503, in-flight requests drain, and
-// the access log is flushed.
+// headers. -pprof mounts net/http/pprof under /debug/pprof/. The
+// daemon bounds concurrent assignment work (-max-inflight), times out
+// slow requests (-timeout), caps request bodies (-max-body), and shuts
+// down gracefully on SIGINT/SIGTERM: /readyz flips to 503, in-flight
+// requests drain, and the access log is flushed.
 package main
 
 import (
@@ -63,10 +61,6 @@ func main() {
 	flag.BoolVar(&cfg.Pprof, "pprof", false, "mount net/http/pprof under /debug/pprof/")
 	flag.Float64Var(&cfg.TraceSample, "trace-sample", 0, "head-sampling rate in (0,1] of ordinary requests into the trace ring, which also turns on W3C traceparent propagation; slow and non-2xx requests are always retained; 0 samples none")
 	flag.IntVar(&cfg.TraceRing, "trace-ring", 64, "retained request records per class (sampled / error / slow) for /debug/trace; the slow class is /debug/slow")
-	flag.StringVar(&cfg.ProfileDir, "profile-dir", "", "directory for continuous CPU/heap pprof captures (empty disables)")
-	flag.DurationVar(&cfg.ProfileInterval, "profile-interval", time.Minute, "sleep between continuous-profiling capture cycles")
-	flag.DurationVar(&cfg.ProfileCPU, "profile-cpu", 5*time.Second, "length of each continuous CPU capture")
-	flag.IntVar(&cfg.ProfileKeep, "profile-keep", 16, "continuous-profiling captures kept on disk per kind")
 	flag.Parse()
 	if cfg.ModelDir == "" {
 		fmt.Fprintln(os.Stderr, "usage: pmafiad -models <dir> [flags]")

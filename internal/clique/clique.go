@@ -282,12 +282,12 @@ func GreedyCover(units *unit.Array) []Rect {
 			return bs.Get(int(cell))
 		}
 	} else {
-		byKey := make(map[string]bool, units.Len())
+		bins := make(map[string]bool, units.Len())
 		for i := 0; i < units.Len(); i++ {
 			_, b := units.Unit(i)
-			byKey[string(b)] = true
+			bins[string(b)] = true
 		}
-		present = func(b []uint8) bool { return byKey[string(b)] }
+		present = func(b []uint8) bool { return bins[string(b)] }
 	}
 	covered := make([]bool, units.Len())
 	var rects []Rect

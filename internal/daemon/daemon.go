@@ -38,9 +38,6 @@
 //	GET  /debug/trace       the retained request records as Chrome
 //	                        trace_event JSON; /debug/trace/{id} serves
 //	                        one record.
-//	GET  /debug/profiles    (only with Config.ProfileDir) the
-//	                        continuous-profiling index;
-//	                        /debug/profiles/{name} serves a capture.
 //	GET  /debug/pprof/* (only with Config.Pprof) net/http/pprof.
 //
 // Every request is instrumented (see obs.go): it carries an
@@ -115,16 +112,6 @@ type Config struct {
 	// TraceRing caps each retention class of the trace ring (sampled,
 	// error, slow); the slow class is what /debug/slow serves.
 	TraceRing int
-	// ProfileDir, when set, enables continuous profiling: periodic CPU
-	// and heap pprof captures land there, pruned to ProfileKeep files
-	// per kind, indexed at /debug/profiles.
-	ProfileDir string
-	// ProfileInterval is the sleep between capture cycles.
-	ProfileInterval time.Duration
-	// ProfileCPU is the length of each CPU capture.
-	ProfileCPU time.Duration
-	// ProfileKeep bounds the on-disk captures retained per kind.
-	ProfileKeep int
 	// SwapCheck is the minimum interval between freshness checks of a
 	// resident model against its file on disk. A changed file (a new
 	// generation written by a refit, or any atomic overwrite) is
@@ -164,18 +151,6 @@ func (c *Config) fill() {
 	if c.TraceRing < 1 {
 		c.TraceRing = 64
 	}
-	if c.ProfileInterval <= 0 {
-		c.ProfileInterval = time.Minute
-	}
-	if c.ProfileCPU <= 0 {
-		c.ProfileCPU = 5 * time.Second
-	}
-	if c.ProfileCPU > c.ProfileInterval {
-		c.ProfileCPU = c.ProfileInterval
-	}
-	if c.ProfileKeep < 1 {
-		c.ProfileKeep = 16
-	}
 	if c.SwapCheck == 0 {
 		c.SwapCheck = time.Second
 	}
@@ -195,7 +170,6 @@ type Daemon struct {
 	traces      *obs.TraceRing
 	traceStride int64 // head-sample every traceStride-th request; 0: none
 	traceSeq    atomic.Int64
-	prof        *profiler // nil unless ProfileDir is set
 
 	ing   *ingest.Ingester // nil unless IngestModel is set
 	swaps sync.WaitGroup   // in-flight background swap checks
@@ -245,12 +219,6 @@ func New(cfg Config) (*Daemon, error) {
 			d.traceStride = 1
 		}
 	}
-	if cfg.ProfileDir != "" {
-		d.prof, err = newProfiler(cfg.ProfileDir, cfg.ProfileInterval, cfg.ProfileCPU, cfg.ProfileKeep, d.rec)
-		if err != nil {
-			return nil, fmt.Errorf("pmafiad: profile dir: %w", err)
-		}
-	}
 	if cfg.IngestModel != "" {
 		if strings.Contains(cfg.IngestModel, "..") || strings.ContainsAny(cfg.IngestModel, `/\`) {
 			return nil, fmt.Errorf("pmafiad: ingest model name %q escapes the model directory", cfg.IngestModel)
@@ -274,11 +242,9 @@ func New(cfg Config) (*Daemon, error) {
 	mux.HandleFunc("/debug/slow", d.instrument("debug_slow", d.debugSlow))
 	mux.HandleFunc("/debug/trace", d.instrument("debug_trace", d.debugTrace))
 	mux.HandleFunc("/debug/trace/", d.instrument("debug_trace", d.debugTrace))
-	mux.HandleFunc("/debug/profiles", d.instrument("debug_profiles", d.debugProfiles))
-	mux.HandleFunc("/debug/profiles/", d.instrument("debug_profiles", d.debugProfiles))
-	// The telemetry exposition is the shared obs handler; the daemon's
-	// request histograms and counters surface there alongside any
-	// engine counters.
+	// The telemetry exposition is the shared obs handler over the
+	// daemon's recorder: request, swap and ingest metrics. Refits fit
+	// without it, so no engine counter accumulates there.
 	mux.Handle("/metrics", d.instrument("metrics", serve.Handler(d.rec).ServeHTTP))
 	if cfg.Pprof {
 		mux.HandleFunc("/debug/pprof/", pprof.Index)
@@ -295,7 +261,6 @@ func New(cfg Config) (*Daemon, error) {
 	}
 	d.ln, err = net.Listen("tcp", cfg.Addr)
 	if err != nil {
-		d.prof.close()
 		return nil, err
 	}
 	return d, nil
@@ -316,8 +281,7 @@ func (d *Daemon) Serve() {
 // (a fronting load balancer sees the node as gone while in-flight
 // requests finish), then the listener closes, in-flight requests
 // drain, background swap checks and any in-flight refit finish, the
-// serve goroutine exits, the profiler stops, and the access log is
-// flushed.
+// serve goroutine exits, and the access log is flushed.
 func (d *Daemon) Shutdown(ctx context.Context) error {
 	d.draining.Store(true)
 	err := d.srv.Shutdown(ctx)
@@ -326,7 +290,6 @@ func (d *Daemon) Shutdown(ctx context.Context) error {
 	if d.ing != nil {
 		d.ing.Close()
 	}
-	d.prof.close()
 	if ferr := d.alog.flush(); err == nil {
 		err = ferr
 	}

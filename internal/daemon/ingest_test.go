@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"pmafia/internal/modelio"
+	"pmafia/internal/obs"
 )
 
 // TestIngestEndToEnd drives the full streaming lifecycle through the
@@ -105,6 +106,47 @@ func TestIngestEndToEnd(t *testing.T) {
 			t.Fatal("generation 2 never swapped in")
 		}
 		time.Sleep(2 * time.Millisecond)
+	}
+}
+
+// TestRefitsLeaveRecorderClean: a refit's fit runs without the
+// daemon's recorder, so however many refits a daemon serves, its
+// recorder holds no engine spans and no collective events, while the
+// ingest.* counters and the refit-duration histogram still land there.
+func TestRefitsLeaveRecorderClean(t *testing.T) {
+	_, m := fitDistinct(t, []int{0, 2, 4}, 44)
+	d, base := startDaemon(t, Config{
+		ModelDir:    t.TempDir(),
+		IngestModel: "live.pmfm",
+		IngestDims:  5,
+	})
+	defer d.Shutdown(context.Background())
+
+	const refits = 4
+	body := csvBody(m)
+	for i := 0; i < refits; i++ {
+		resp, err := http.Post(base+"/ingest?refit=1", "text/csv", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("refit %d: status %d", i, resp.StatusCode)
+		}
+	}
+	for rank := 0; rank < d.rec.Ranks(); rank++ {
+		if spans := d.rec.Spans(rank); len(spans) != 0 {
+			t.Errorf("rank %d: recorder holds %d spans after %d refits, want 0", rank, len(spans), refits)
+		}
+	}
+	if colls := d.rec.Collectives(); len(colls) != 0 {
+		t.Errorf("recorder holds %d collective events after %d refits, want 0", len(colls), refits)
+	}
+	if got := d.rec.Counter(obs.CtrIngestRefits); got != refits {
+		t.Errorf("ingest.refits = %d, want %d", got, refits)
+	}
+	if h := d.rec.Histogram(obs.HistIngestRefitSeconds); h == nil || h.Count() != refits {
+		t.Errorf("ingest.refit.seconds histogram %v, want %d observations", h, refits)
 	}
 }
 

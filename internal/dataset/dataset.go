@@ -190,15 +190,18 @@ func Domains(src Source) ([]Range, error) {
 		return nil, errors.New("dataset: empty source")
 	}
 	for j := range domains {
-		domains[j] = widen(domains[j])
+		domains[j] = Widen(domains[j])
 	}
 	return domains, nil
 }
 
-// widen nudges the top of a closed observed range so the half-open
-// convention keeps the maximum inside, and gives zero-width domains a
-// unit width so bin construction never divides by zero.
-func widen(r Range) Range {
+// Widen turns a closed observed range [Lo, Hi] into the half-open
+// domain every fit bins over: the top moves up by WidenHi so the
+// maximum stays inside, and a zero-width range (Hi <= Lo) becomes
+// [Lo, Lo+1) so bin construction never divides by zero. Batch fits,
+// file headers and streamed refits all widen through it, so they bin
+// the same records identically.
+func Widen(r Range) Range {
 	if r.Hi <= r.Lo {
 		return Range{Lo: r.Lo, Hi: r.Lo + 1}
 	}
@@ -212,8 +215,9 @@ func widen(r Range) Range {
 // (e.g. lo=1e18, hi=1e18+1024: the ULP at 1e18 is 128, far above the
 // ~1e-6 nominal step), so the result falls back to the next
 // representable float64 above hi. Every widening site — engine domain
-// reduction, file headers, in-memory domain scans — must use this one
-// function or maxima silently land outside their domain.
+// reduction, file headers, in-memory domain scans, streamed refits —
+// goes through Widen, which uses it, or maxima silently land outside
+// their domain.
 func WidenHi(lo, hi float64) float64 {
 	widened := hi + (hi-lo)*1e-9
 	if widened > hi && !math.IsInf(widened, 1) {

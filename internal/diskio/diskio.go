@@ -533,11 +533,7 @@ func (f *File) FrameRecords() int { return f.frameRecs }
 func (f *File) Domains() []dataset.Range {
 	out := make([]dataset.Range, f.d)
 	for i, r := range f.domains {
-		if r.Hi <= r.Lo {
-			out[i] = dataset.Range{Lo: r.Lo, Hi: r.Lo + 1}
-		} else {
-			out[i] = dataset.Range{Lo: r.Lo, Hi: dataset.WidenHi(r.Lo, r.Hi)}
-		}
+		out[i] = dataset.Widen(r)
 	}
 	return out
 }
@@ -580,6 +576,10 @@ func (f *File) ScanRange(lo, hi, chunkRecords int) dataset.Scanner {
 	if err != nil {
 		return &fileScanner{err: err}
 	}
+	// One chunk, but no more records than the scan reads at once: the
+	// range, or the frame tail verifyTail reads past it. Every read is
+	// the same as with a whole chunk, so chunk ordinals do not change.
+	chunkRecords = min(chunkRecords, max(hi-lo, f.tailRecords(lo, hi)))
 	return &fileScanner{
 		f:        f,
 		h:        h,
@@ -589,6 +589,18 @@ func (f *File) ScanRange(lo, hi, chunkRecords int) dataset.Scanner {
 		chunkR:   chunkRecords,
 		crcValid: f.version == version2 && f.frameRecs > 0 && lo%f.frameRecs == 0,
 	}
+}
+
+// tailRecords is the number of records past hi that a scan of [lo, hi)
+// reads to verify the frame it ends inside: the rest of that frame when
+// the frame starts inside the range and hi is neither a frame boundary
+// nor the end of the file, else 0.
+func (f *File) tailRecords(lo, hi int) int {
+	fr := f.frameRecs
+	if f.version != version2 || fr <= 0 || hi%fr == 0 || hi >= f.n || hi/fr*fr < lo {
+		return 0
+	}
+	return min(hi/fr*fr+fr, f.n) - hi
 }
 
 type fileScanner struct {

@@ -211,3 +211,59 @@ func TestScanRangeAllocatesOneChunkBuffer(t *testing.T) {
 		t.Fatalf("ScanRange allocated %d bytes, want at most %d (one %d-record chunk buffer)", least, limit, chunk)
 	}
 }
+
+// TestScanRangeBufferSizedByRange: a scan's buffer holds at most its
+// range or the frame tail it verifies past the range, never a whole
+// chunk more. A 0-record, 65,000-dimensional file scans in 64-record
+// chunks without a 33 MB buffer; a 200-record range of a v2 file
+// allocates 200 records, and one that ends inside a frame it starts
+// also the rest of that frame.
+func TestScanRangeBufferSizedByRange(t *testing.T) {
+	wide := tmpPath(t, "wide.pmaf")
+	writeV1(t, wide, 65000, nil)
+	const n, d = 5000, 10
+	narrow := tmpPath(t, "narrow.pmaf")
+	if err := WriteSource(narrow, makeMatrix(n, d)); err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		name          string
+		path          string
+		lo, hi, chunk int
+		bufRecords    int
+	}{
+		{"empty wide file", wide, 0, 0, 64, 0},
+		{"range inside a frame", narrow, 100, 300, 1024, 200},
+		{"range ending inside its frame", narrow, DefaultFrameRecords, DefaultFrameRecords + 200, 1024, n - DefaultFrameRecords - 200},
+	} {
+		f, err := Open(c.path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		scan := func() {
+			sc := f.ScanRange(c.lo, c.hi, c.chunk)
+			for {
+				if _, k := sc.Next(); k == 0 {
+					break
+				}
+			}
+			if err := sc.Err(); err != nil {
+				t.Fatal(err)
+			}
+			sc.Close()
+		}
+		scan()
+		var before, after runtime.MemStats
+		least := uint64(math.MaxUint64)
+		for i := 0; i < 5; i++ {
+			runtime.ReadMemStats(&before)
+			scan()
+			runtime.ReadMemStats(&after)
+			least = min(least, after.TotalAlloc-before.TotalAlloc)
+		}
+		if limit := uint64(c.bufRecords*f.Dims()*8 + 4096); least > limit {
+			t.Errorf("%s: ScanRange(%d, %d, %d) allocated %d bytes, want at most %d (%d records)",
+				c.name, c.lo, c.hi, c.chunk, least, limit, c.bufRecords)
+		}
+	}
+}

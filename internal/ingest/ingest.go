@@ -11,10 +11,10 @@
 // bit-identical models to a batch fit over the same records: arriving
 // chunks fold into the running counts in O(chunk), and only a record
 // that falls outside every previously observed domain forces a rebuild
-// pass over the buffer. The refit itself hands the frozen histogram to
-// the engine through mafia.Config.Hist, skipping the engine's own
-// histogram pass, and runs through the ordinary checkpoint-able
-// pipeline (Config.CkptDir wires internal/ckpt in).
+// pass over the buffer. A refit is mafia.Run over the frozen snapshot
+// with the frozen histogram handed over through mafia.Config.Hist,
+// which skips the engine's own domains and histogram passes, followed
+// by modelio.SaveMeta of the result.
 //
 // Concurrency model: Append and Refit are safe to call from any
 // goroutine. Refits are serialized (single-flight) and run against a
@@ -34,9 +34,7 @@ import (
 	"sync"
 	"time"
 
-	"pmafia/internal/ckpt"
 	"pmafia/internal/dataset"
-	"pmafia/internal/diskio"
 	"pmafia/internal/histogram"
 	"pmafia/internal/mafia"
 	"pmafia/internal/modelio"
@@ -53,26 +51,12 @@ type Config struct {
 	// many records have arrived since the last refit snapshot. 0 means
 	// refits happen only through explicit Refit calls.
 	RefitEvery int
-	// FineUnits fixes the fine-histogram resolution; 0 scales it with
-	// the accumulated record count exactly like the batch engine
-	// (min(1000, max(50, n/10))), so a refit matches a batch fit of the
-	// same records bit for bit.
-	FineUnits int
-	// Fit is the clustering configuration each refit runs with. The
-	// Hist, Resume, and (when Recorder below is set) Recorder fields
-	// are managed by the ingester and overwritten per refit.
-	Fit mafia.Config
-	// CkptDir, when non-empty, wires internal/ckpt into each refit so
-	// level-barrier snapshots are emitted while the fit runs.
-	CkptDir string
 	// Recorder receives the ingest.* counters, the pending-records
-	// gauge, and the refit spans. nil costs nothing.
+	// gauge and the refit-duration histogram. The refit's own fit runs
+	// without a recorder, so a long-lived recorder does not accumulate
+	// every refit's engine spans and collective events. nil costs
+	// nothing.
 	Recorder *obs.Recorder
-	// OnRefit, when non-nil, is called after every refit attempt —
-	// explicit or auto-triggered — with the generation written (0 on
-	// failure), the fitted result, and the error. Called outside the
-	// ingester's locks; it may call back into the ingester.
-	OnRefit func(generation uint64, res *mafia.Result, err error)
 }
 
 // Stats is a point-in-time snapshot of an ingester.
@@ -85,12 +69,10 @@ type Stats struct {
 	// Generation is the generation of the newest model written (0 when
 	// no refit has completed).
 	Generation uint64
-	// Refits and RefitErrors count completed and failed refit attempts.
-	Refits, RefitErrors int
 }
 
 // Ingester accumulates a record stream and refits models from it. Use
-// New, then Append/AppendFile from any goroutine; Close waits for any
+// New, then Append from any goroutine; Close waits for any
 // in-flight background refit.
 type Ingester struct {
 	cfg  Config
@@ -102,16 +84,14 @@ type Ingester struct {
 	fitMu sync.Mutex
 	wg    sync.WaitGroup
 
-	mu          sync.Mutex
-	buf         *dataset.Matrix
-	hist        *histogram.Hist
-	lo, hi      []float64 // observed per-dimension min/max
-	gen         uint64    // generation of the newest model written
-	lastFitN    int       // records covered by the newest model
-	fitting     bool      // a background refit is in flight
-	refits      int
-	refitErrors int
-	closed      bool
+	mu       sync.Mutex
+	buf      *dataset.Matrix
+	hist     *histogram.Hist
+	lo, hi   []float64 // observed per-dimension min/max
+	gen      uint64    // generation of the newest model written
+	lastFitN int       // records covered by the newest model
+	fitting  bool      // a background refit is in flight
+	closed   bool
 }
 
 // New creates an ingester for dims-dimensional records writing its
@@ -128,9 +108,6 @@ func New(dims int, cfg Config) (*Ingester, error) {
 	}
 	if cfg.RefitEvery < 0 {
 		return nil, fmt.Errorf("ingest: RefitEvery %d < 0", cfg.RefitEvery)
-	}
-	if cfg.FineUnits < 0 {
-		return nil, fmt.Errorf("ingest: FineUnits %d < 0", cfg.FineUnits)
 	}
 	if err := os.MkdirAll(cfg.Dir, 0o755); err != nil {
 		return nil, err
@@ -192,7 +169,7 @@ func (ing *Ingester) Append(chunk []float64, n int) error {
 	}
 	ing.buf.Values = append(ing.buf.Values, chunk...)
 	total := ing.buf.NumRecords()
-	units := ing.fineUnits(total)
+	units := mafia.AutoFineUnits(total)
 	if ing.hist == nil || grown || units != ing.hist.Units {
 		// Domain growth (or a unit-count step) invalidates the binning:
 		// rebuild from the buffer. Rare once the stream's range
@@ -224,30 +201,6 @@ func (ing *Ingester) Append(chunk []float64, n int) error {
 	return nil
 }
 
-// AppendFile streams every record of a .pmaf file into the ingester.
-func (ing *Ingester) AppendFile(path string) (records int, err error) {
-	f, err := diskio.Open(path)
-	if err != nil {
-		return 0, err
-	}
-	sc := f.Scan(ing.cfg.Fit.ChunkRecords)
-	defer sc.Close()
-	if f.Dims() != ing.dims {
-		return 0, fmt.Errorf("ingest: %s holds %d-dim records, ingester wants %d", path, f.Dims(), ing.dims)
-	}
-	for {
-		chunk, n := sc.Next()
-		if n == 0 {
-			break
-		}
-		if err := ing.Append(chunk, n); err != nil {
-			return records, err
-		}
-		records += n
-	}
-	return records, sc.Err()
-}
-
 // Refit synchronously fits a model over the records accumulated so far
 // and atomically writes it as the next generation. Refits are
 // single-flight: concurrent callers queue behind the running one.
@@ -272,21 +225,17 @@ func (ing *Ingester) Refit() (generation uint64, err error) {
 	nextGen := ing.gen + 1
 	ing.mu.Unlock()
 
-	var res *mafia.Result
 	if n == 0 {
 		err = errors.New("ingest: no records to fit")
 	} else {
-		res, err = ing.fit(snap, h, nextGen)
+		err = ing.fit(snap, h, nextGen)
 	}
 
 	ing.mu.Lock()
 	ing.fitting = false
-	if err != nil {
-		ing.refitErrors++
-	} else {
+	if err == nil {
 		ing.gen = nextGen
 		ing.lastFitN = n
-		ing.refits++
 	}
 	pending := ing.buf.NumRecords() - ing.lastFitN
 	ing.mu.Unlock()
@@ -299,44 +248,16 @@ func (ing *Ingester) Refit() (generation uint64, err error) {
 		generation = nextGen
 	}
 	rec.SetGauge(obs.GaugeIngestPending, float64(pending))
-	if ing.cfg.OnRefit != nil {
-		ing.cfg.OnRefit(generation, res, err)
-	}
 	return generation, err
 }
 
 // fit runs the engine over a frozen snapshot and writes the model.
-func (ing *Ingester) fit(snap *dataset.Matrix, h *histogram.Hist, gen uint64) (*mafia.Result, error) {
-	cfg := ing.cfg.Fit
-	cfg.Hist = h
-	cfg.Resume = nil
-	cfg.OnCheckpoint = nil
-	if ing.cfg.Recorder != nil {
-		cfg.Recorder = ing.cfg.Recorder
-	}
-	if ing.cfg.CkptDir != "" {
-		hash, err := ckpt.ConfigHash(cfg, ing.dims)
-		if err != nil {
-			return nil, err
-		}
-		mgr, err := ckpt.NewManager(ing.cfg.CkptDir, ckpt.Fingerprint{
-			DataPath:   "ingest:" + ing.cfg.Model,
-			DataBytes:  int64(len(snap.Values)) * 8,
-			ConfigHash: hash,
-		}, ckpt.Options{Recorder: ing.cfg.Recorder})
-		if err != nil {
-			return nil, err
-		}
-		cfg.OnCheckpoint = mgr.Save
-	}
-	res, err := mafia.Run(snap, cfg)
+func (ing *Ingester) fit(snap *dataset.Matrix, h *histogram.Hist, gen uint64) error {
+	res, err := mafia.Run(snap, mafia.Config{Hist: h})
 	if err != nil {
-		return nil, err
+		return err
 	}
-	if err := modelio.SaveMeta(ing.path, res, gen); err != nil {
-		return nil, err
-	}
-	return res, nil
+	return modelio.SaveMeta(ing.path, res, gen)
 }
 
 // Stats snapshots the ingester's counters.
@@ -345,11 +266,9 @@ func (ing *Ingester) Stats() Stats {
 	defer ing.mu.Unlock()
 	n := ing.buf.NumRecords()
 	return Stats{
-		Records:     n,
-		Pending:     n - ing.lastFitN,
-		Generation:  ing.gen,
-		Refits:      ing.refits,
-		RefitErrors: ing.refitErrors,
+		Records:    n,
+		Pending:    n - ing.lastFitN,
+		Generation: ing.gen,
 	}
 }
 
@@ -363,36 +282,13 @@ func (ing *Ingester) Close() error {
 	return nil
 }
 
-// fineUnits mirrors the batch engine's resolution rule so streamed and
-// batch fits of the same records bin identically.
-func (ing *Ingester) fineUnits(n int) int {
-	if ing.cfg.FineUnits > 0 {
-		return ing.cfg.FineUnits
-	}
-	units := n / 10
-	if units > 1000 {
-		units = 1000
-	}
-	if units < 50 {
-		units = 50
-	}
-	return units
-}
-
 // domainsLocked widens the observed min/max into the half-open domains
-// a batch fit would compute over the same records — the exact widening
-// switch of the engine's globalDomains. Caller holds ing.mu and
-// guarantees at least one record has been observed.
+// a batch fit would compute over the same records. Caller holds ing.mu
+// and guarantees at least one record has been observed.
 func (ing *Ingester) domainsLocked() []dataset.Range {
 	domains := make([]dataset.Range, ing.dims)
 	for i := range domains {
-		lo, hi := ing.lo[i], ing.hi[i]
-		switch {
-		case hi <= lo:
-			domains[i] = dataset.Range{Lo: lo, Hi: lo + 1}
-		default:
-			domains[i] = dataset.Range{Lo: lo, Hi: dataset.WidenHi(lo, hi)}
-		}
+		domains[i] = dataset.Widen(dataset.Range{Lo: ing.lo[i], Hi: ing.hi[i]})
 	}
 	return domains
 }

@@ -1,14 +1,12 @@
 package ingest_test
 
 import (
-	"path/filepath"
 	"reflect"
 	"testing"
 	"time"
 
 	"pmafia/internal/datagen"
 	"pmafia/internal/dataset"
-	"pmafia/internal/diskio"
 	"pmafia/internal/ingest"
 	"pmafia/internal/mafia"
 	"pmafia/internal/modelio"
@@ -104,7 +102,7 @@ func TestRefitMatchesBatch(t *testing.T) {
 	sameModel(t, got, want)
 
 	st := ing.Stats()
-	if st.Records != m.NumRecords() || st.Pending != 0 || st.Generation != 1 || st.Refits != 1 {
+	if st.Records != m.NumRecords() || st.Pending != 0 || st.Generation != 1 {
 		t.Errorf("stats after refit: %+v", st)
 	}
 
@@ -163,44 +161,6 @@ func TestAutoRefit(t *testing.T) {
 	}
 }
 
-// TestAppendFile streams a .pmaf file into the ingester.
-func TestAppendFile(t *testing.T) {
-	m := genData(t, 1200, 13)
-	dir := t.TempDir()
-	pmaf := filepath.Join(dir, "data.pmaf")
-	if err := diskio.WriteSource(pmaf, m); err != nil {
-		t.Fatal(err)
-	}
-	ing, err := ingest.New(5, ingest.Config{Dir: dir})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ing.Close()
-	n, err := ing.AppendFile(pmaf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n != m.NumRecords() {
-		t.Errorf("AppendFile streamed %d records, want %d", n, m.NumRecords())
-	}
-	got, _, err := modelioRefit(ing)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := mafia.Run(m, mafia.Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sameModel(t, got, want)
-}
-
-func modelioRefit(ing *ingest.Ingester) (*mafia.Result, modelio.Meta, error) {
-	if _, err := ing.Refit(); err != nil {
-		return nil, modelio.Meta{}, err
-	}
-	return modelio.LoadMeta(ing.Path())
-}
-
 // TestRefitEmpty checks an empty ingester refuses to fit and counts
 // the failure.
 func TestRefitEmpty(t *testing.T) {
@@ -215,9 +175,6 @@ func TestRefitEmpty(t *testing.T) {
 	}
 	if rec.Counter(obs.CtrIngestRefitErrors) != 1 {
 		t.Errorf("ingest.refit.errors = %d, want 1", rec.Counter(obs.CtrIngestRefitErrors))
-	}
-	if st := ing.Stats(); st.RefitErrors != 1 {
-		t.Errorf("stats errors = %d, want 1", st.RefitErrors)
 	}
 }
 

@@ -47,14 +47,10 @@ const (
 	// CountGrouped folds each record's bin tuple into a linear cell
 	// index per distinct subspace and answers membership with a bitset
 	// plus popcount rank — O(d + Σ|subspace|) per record with no
-	// hashing or allocation. Subspaces whose cell space is too large
-	// for the bitset fall back to the hash map per subspace.
+	// hashing or allocation. A CDU set with a subspace whose cell space
+	// is too large for the bitset (past 2^26 cells) is counted by
+	// CountDirect instead.
 	CountGrouped
-	// CountGroupedMap is CountGrouped with the bitset disabled: every
-	// subspace uses the hash-map lookup. This is the pre-pipelining
-	// implementation, kept as a reference kernel for the property
-	// tests and as an always-available fallback.
-	CountGroupedMap
 	// CountDirect counts blocks of 64 records bit-sliced: every
 	// dimension some CDU constrains is binned once per record into one
 	// 64-bit record mask per used (dim, bin) pair, and each CDU adds

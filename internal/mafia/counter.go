@@ -12,31 +12,24 @@ import (
 	"pmafia/internal/unit"
 )
 
-// maxFlatCells caps the cell count of a subspace handled by the
-// flat/bitset kernel: membership costs 1 bit per cell plus a 4-byte
-// rank entry per 64 cells, so the cap bounds the tables at ~9 MB per
-// subspace. Sparser-than-that subspaces (high k over many bins) fall
-// back to the hash-map kernel.
+// maxFlatCells caps the cell count of a subspace the grouped kernel
+// handles: membership costs 1 bit per cell plus a 4-byte rank entry per
+// 64 cells, so the cap bounds the tables at ~9 MB per subspace. A CDU
+// set with a sparser subspace than that (high k over many bins) is
+// counted by the direct kernel instead.
 const maxFlatCells = 1 << 26
 
 // subspace is the per-subspace lookup structure of the grouped
-// population kernel. In flat mode a record's bin tuple is folded into a
-// linear cell index via precomputed strides; a bitset answers "is this
-// cell a CDU" and a popcount rank maps hits to CDU indices — no hashing
-// and no allocation anywhere on the per-record path. In map mode (the
-// pre-pipelining implementation, kept as the fallback for cell spaces
-// past maxFlatCells) the bin tuple is hashed.
+// population kernel: a record's bin tuple is folded into a linear cell
+// index via precomputed strides; a bitset answers "is this cell a CDU"
+// and a popcount rank maps hits to CDU indices — no hashing and no
+// allocation anywhere on the per-record path.
 type subspace struct {
-	dims   []uint8
-	stride []int64 // per dim position: Π bins of later positions
-
-	// flat/bitset mode (member != nil):
+	dims    []uint8
+	stride  []int64      // per dim position: Π bins of later positions
 	member  *unit.Bitset // dense-cell membership over the cell space
 	rankPfx []int32      // popcount prefix per member word
 	remap   []int32      // membership rank -> index into counts
-
-	// map mode:
-	byKey map[string]int
 }
 
 // blockRecords is the direct kernel's block width: record r of a block
@@ -53,8 +46,8 @@ type sliceDim struct {
 }
 
 // counter populates candidate dense units from a stream of records.
-// The grouped strategies organize CDUs by their subspace: one cell (or
-// hash) lookup per (record, subspace), O(d + Σ_s k_s) per record. The
+// The grouped strategy organizes CDUs by their subspace: one cell
+// lookup per (record, subspace), O(d + Σ_s k_s) per record. The
 // direct strategy is bit-sliced over blocks of 64 records: each
 // dimension some CDU constrains is binned once per record into a mask
 // per atom, and each CDU adds popcount(AND of its k atom masks) once
@@ -81,10 +74,12 @@ type counter struct {
 type countScratch struct {
 	counts []int64
 	binRow []uint8  // bin index per data dimension (grouped)
-	keyBuf []uint8  // bins of one subspace (map mode)
 	masks  []uint64 // one record mask per atom slot (direct)
 }
 
+// newCounter compiles cdus for the chosen strategy. A grouped set with
+// a subspace past maxFlatCells cells is counted by the direct kernel,
+// which has no cell-space limit.
 func newCounter(g *grid.Grid, cdus *unit.Array, strategy CountStrategy) *counter {
 	if strategy == CountAuto {
 		if cdus.Len() > autoCountThreshold {
@@ -99,10 +94,12 @@ func newCounter(g *grid.Grid, cdus *unit.Array, strategy CountStrategy) *counter
 		counts:   make([]int64, cdus.Len()),
 		strategy: strategy,
 	}
-	if strategy == CountDirect {
+	if strategy == CountGrouped && !c.buildSubspaces() {
+		c.subs = nil
+		c.strategy = CountDirect
+	}
+	if c.strategy == CountDirect {
 		c.buildSlices()
-	} else {
-		c.buildSubspaces(strategy == CountGroupedMap)
 	}
 	return c
 }
@@ -112,11 +109,7 @@ func (c *counter) newScratch(counts []int64) countScratch {
 	if c.strategy == CountDirect {
 		return countScratch{counts: counts, masks: make([]uint64, c.atoms)}
 	}
-	return countScratch{
-		counts: counts,
-		binRow: make([]uint8, len(c.g.Dims)),
-		keyBuf: make([]uint8, c.cdus.K),
-	}
+	return countScratch{counts: counts, binRow: make([]uint8, len(c.g.Dims))}
 }
 
 // buildSlices compiles the CDU set for the direct kernel: the
@@ -165,9 +158,9 @@ func (c *counter) buildSlices() {
 }
 
 // buildSubspaces groups the CDUs by subspace and constructs each
-// subspace's lookup structure: flat/bitset when the cell space is small
-// enough (and not forced to map mode), the hash map otherwise.
-func (c *counter) buildSubspaces(forceMap bool) {
+// subspace's cell bitset. It returns false, having built no bitset, if
+// some subspace spans more than maxFlatCells cells.
+func (c *counter) buildSubspaces() bool {
 	bySub := map[string]int{} // subspace key -> index in c.subs
 	members := [][]int{}      // CDU indices per subspace
 	for i := 0; i < c.cdus.Len(); i++ {
@@ -182,29 +175,23 @@ func (c *counter) buildSubspaces(forceMap bool) {
 		}
 		members[si] = append(members[si], i)
 	}
+	cells := make([]int64, len(c.subs))
 	for si := range c.subs {
 		s := &c.subs[si]
-		cells := int64(1)
+		cells[si] = 1
 		s.stride = make([]int64, len(s.dims))
 		for x := len(s.dims) - 1; x >= 0; x-- {
-			s.stride[x] = cells
+			s.stride[x] = cells[si]
 			nb := int64(c.g.Dims[s.dims[x]].NumBins())
-			if cells > maxFlatCells/nb+1 {
-				cells = maxFlatCells + 1 // overflow guard: force map mode
-				break
+			if cells[si] > maxFlatCells/nb {
+				return false // past the cap; the product could overflow
 			}
-			cells *= nb
+			cells[si] *= nb
 		}
-		if forceMap || cells > maxFlatCells {
-			s.byKey = make(map[string]int, len(members[si]))
-			for _, i := range members[si] {
-				_, b := c.cdus.Unit(i)
-				s.byKey[string(b)] = i
-			}
-			s.stride = nil
-			continue
-		}
-		s.member = unit.NewBitset(int(cells))
+	}
+	for si := range c.subs {
+		s := &c.subs[si]
+		s.member = unit.NewBitset(int(cells[si]))
 		type cellIdx struct {
 			cell int64
 			idx  int
@@ -227,10 +214,9 @@ func (c *counter) buildSubspaces(forceMap bool) {
 		})
 		s.rankPfx = s.member.RankTable()
 		// One remap entry per distinct cell (= per set bit). Duplicate
-		// CDUs share a cell; keep the largest index, matching the map
-		// path's insertion-order overwrite, so both grouped kernels
-		// attribute identically. (The engine dedups before populating,
-		// so duplicates only reach here through direct kernel use.)
+		// CDUs share a cell; the last copy gets the whole population.
+		// (The engine dedups before populating, so duplicates only
+		// reach here through PopulateCounts.)
 		s.remap = make([]int32, 0, len(order))
 		for x, ci := range order {
 			if x+1 < len(order) && order[x+1].cell == ci.cell {
@@ -239,6 +225,7 @@ func (c *counter) buildSubspaces(forceMap bool) {
 			s.remap = append(s.remap, int32(ci.idx))
 		}
 	}
+	return true
 }
 
 // addChunkInto counts n row-major records into the scratch's tallies.
@@ -250,28 +237,18 @@ func (c *counter) buildSubspaces(forceMap bool) {
 func (c *counter) addChunkInto(sc *countScratch, chunk []float64, n int, frame []byte) {
 	d := len(c.g.Dims)
 	switch c.strategy {
-	case CountGrouped, CountGroupedMap:
+	case CountGrouped:
 		for r := 0; r < n; r++ {
 			c.g.BinRow(chunk[r*d:(r+1)*d], sc.binRow)
 			for si := range c.subs {
 				s := &c.subs[si]
-				if s.member != nil {
-					cell := int64(0)
-					for x, dim := range s.dims {
-						cell += s.stride[x] * int64(sc.binRow[dim])
-					}
-					if s.member.Get(int(cell)) {
-						rk := s.member.Rank(s.rankPfx, int(cell))
-						sc.counts[s.remap[rk]]++
-					}
-				} else {
-					key := sc.keyBuf[:len(s.dims)]
-					for x, dim := range s.dims {
-						key[x] = sc.binRow[dim]
-					}
-					if idx, ok := s.byKey[string(key)]; ok {
-						sc.counts[idx]++
-					}
+				cell := int64(0)
+				for x, dim := range s.dims {
+					cell += s.stride[x] * int64(sc.binRow[dim])
+				}
+				if s.member.Get(int(cell)) {
+					rk := s.member.Rank(s.rankPfx, int(cell))
+					sc.counts[s.remap[rk]]++
 				}
 			}
 		}

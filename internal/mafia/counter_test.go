@@ -248,7 +248,7 @@ func TestCountKernelsAgree(t *testing.T) {
 		for k := 1; k <= len(allowed); k++ {
 			cdus := randCDUsIn(r.Split(), g, allowed, k, 1+r.Intn(150))
 			want := oracleCounts(g, cdus, m)
-			for _, strategy := range []CountStrategy{CountDirect, CountGrouped, CountGroupedMap} {
+			for _, strategy := range []CountStrategy{CountDirect, CountGrouped} {
 				for _, chunk := range []int{1, 63, 65, 300} {
 					for _, workers := range []int{1, 3} {
 						got, err := PopulateCounts(g, cdus, m, chunk, workers, strategy)
@@ -278,51 +278,32 @@ func TestCountKernelsAgree(t *testing.T) {
 	}
 }
 
-// TestCountGroupedUsesBitset checks the flat path actually engages for
-// small cell spaces (otherwise the property test would be comparing the
-// map path with itself).
+// TestCountGroupedUsesBitset checks the grouped kernel actually
+// engages for small cell spaces (otherwise the property test would be
+// comparing the direct kernel with itself).
 func TestCountGroupedUsesBitset(t *testing.T) {
 	r := rng.New(5)
 	g, _ := testGrid(t, r, 200, 5, 8)
 	cdus := randCDUs(r, g, 3, 40)
 	c := newCounter(g, cdus, CountGrouped)
-	flat := 0
-	for si := range c.subs {
-		if c.subs[si].member != nil {
-			flat++
-		}
-	}
-	if flat == 0 {
-		t.Fatal("no subspace took the flat/bitset path")
-	}
-	cm := newCounter(g, cdus, CountGroupedMap)
-	for si := range cm.subs {
-		if cm.subs[si].member != nil {
-			t.Fatal("CountGroupedMap built a bitset subspace")
-		}
+	if c.strategy != CountGrouped || len(c.subs) == 0 {
+		t.Fatalf("strategy %v over %d subspaces, want the grouped kernel", c.strategy, len(c.subs))
 	}
 }
 
 // TestCountGroupedCellCapFallback gives CountGrouped a subspace whose
-// cell space exceeds maxFlatCells (20^7 ≈ 1.3e9 cells): it must fall
-// back to the map lookup per subspace and still match the oracle.
+// cell space exceeds maxFlatCells (20^7 ≈ 1.3e9 cells): the set must be
+// counted by the direct kernel and match the oracle.
 func TestCountGroupedCellCapFallback(t *testing.T) {
 	r := rng.New(13)
 	const d, k, xi = 8, 7, 20
 	g, m := testGrid(t, r, 400, d, xi)
 	cdus := randCDUs(r, g, k, 30)
 
-	c := newCounter(g, cdus, CountGrouped)
-	for si := range c.subs {
-		if c.subs[si].member != nil {
-			t.Fatalf("subspace %d took the flat path over %d^%d cells", si, xi, k)
-		}
+	if c := newCounter(g, cdus, CountGrouped); c.strategy != CountDirect || c.subs != nil {
+		t.Fatalf("strategy %v with %d subspaces over %d^%d cells, want the direct kernel", c.strategy, len(c.subs), xi, k)
 	}
-
-	want, err := PopulateCounts(g, cdus, m, 64, 1, CountGroupedMap)
-	if err != nil {
-		t.Fatal(err)
-	}
+	want := oracleCounts(g, cdus, m)
 	got, err := PopulateCounts(g, cdus, m, 64, 2, CountGrouped)
 	if err != nil {
 		t.Fatal(err)
@@ -335,10 +316,9 @@ func TestCountGroupedCellCapFallback(t *testing.T) {
 }
 
 // TestCountGroupedDuplicateAttribution pins the duplicate-CDU contract
-// of the two grouped kernels: the engine dedups before populating, but
-// if duplicates do reach a grouped kernel, the whole population is
-// attributed to the last copy (the map path's insertion-order
-// overwrite) — and the flat path must mirror that exactly.
+// of the grouped kernel: the engine dedups before populating, but if
+// duplicates do reach the grouped kernel, the whole population is
+// attributed to the last copy and the first gets none.
 func TestCountGroupedDuplicateAttribution(t *testing.T) {
 	r := rng.New(17)
 	g, m := testGrid(t, r, 300, 4, 6)
@@ -346,21 +326,16 @@ func TestCountGroupedDuplicateAttribution(t *testing.T) {
 	cdus.AppendRaw([]uint8{0, 2}, []uint8{1, 3})
 	cdus.AppendRaw([]uint8{1, 3}, []uint8{0, 5})
 	cdus.AppendRaw([]uint8{0, 2}, []uint8{1, 3}) // duplicate of CDU 0
-	want, err := PopulateCounts(g, cdus, m, 50, 1, CountGroupedMap)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if want[0] != 0 {
-		t.Fatalf("map path attributed %d records to the first duplicate", want[0])
+	oracle := oracleCounts(g, cdus, m)
+	if oracle[0] == 0 {
+		t.Fatal("the duplicated cell holds no record; the test shows nothing")
 	}
 	got, err := PopulateCounts(g, cdus, m, 50, 1, CountGrouped)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("counts[%d]: flat=%d oracle=%d", i, got[i], want[i])
-		}
+	if want := []int64{0, oracle[1], oracle[2]}; !slices.Equal(got, want) {
+		t.Fatalf("counts %v, want %v: the last copy takes the duplicated cell's population", got, want)
 	}
 }
 

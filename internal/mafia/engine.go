@@ -349,22 +349,22 @@ func (e *engine) checkpoint(res *Result, level int, du *unit.Array, registered [
 }
 
 // fineUnits resolves the fine-histogram resolution: an explicit
-// configuration wins; otherwise scale with the (whole-machine) record
-// count so tiny data sets do not produce one-count histograms whose
-// window maxima are pure noise.
+// configuration wins; otherwise AutoFineUnits of the (whole-machine)
+// record count.
 func (e *engine) fineUnits() int {
 	if e.cfg.FineUnits > 0 {
 		return e.cfg.FineUnits
 	}
-	n := e.totalRecords
-	units := n / 10
-	if units > 1000 {
-		units = 1000
-	}
-	if units < 50 {
-		units = 50
-	}
-	return units
+	return AutoFineUnits(e.totalRecords)
+}
+
+// AutoFineUnits is the fine-histogram resolution a fit of n records
+// uses when Config.FineUnits is unset: min(1000, max(50, n/10)), so
+// tiny data sets do not produce one-count histograms whose window
+// maxima are pure noise. The streaming ingester bins with it too, so a
+// refit matches a batch fit of the same records bit for bit.
+func AutoFineUnits(n int) int {
+	return min(1000, max(50, n/10))
 }
 
 // globalDomains computes per-dimension [min, max] over all shards with
@@ -405,13 +405,10 @@ func (e *engine) globalDomains() ([]dataset.Range, error) {
 	e.c.AllreduceMaxF64(hi)
 	domains := make([]dataset.Range, d)
 	for i := range domains {
-		switch {
-		case math.IsInf(lo[i], 1): // no records anywhere
+		if math.IsInf(lo[i], 1) { // no records anywhere
 			domains[i] = dataset.Range{Lo: 0, Hi: 1}
-		case hi[i] <= lo[i]:
-			domains[i] = dataset.Range{Lo: lo[i], Hi: lo[i] + 1}
-		default:
-			domains[i] = dataset.Range{Lo: lo[i], Hi: dataset.WidenHi(lo[i], hi[i])}
+		} else {
+			domains[i] = dataset.Widen(dataset.Range{Lo: lo[i], Hi: hi[i]})
 		}
 	}
 	return domains, nil

@@ -39,11 +39,6 @@ const (
 	// and the slow class).
 	CtrTraceRetained     = "trace.retained"
 	CtrTraceRetainedSlow = "trace.retained.slow"
-	// pmafiad: the continuous-profiling harness.
-	CtrProfileCPU    = "profile.cpu"
-	CtrProfileHeap   = "profile.heap"
-	CtrProfilePruned = "profile.pruned"
-	CtrProfileErrors = "profile.errors"
 	// ingest: the streaming-ingest / background-refit pipeline.
 	CtrIngestRecords     = "ingest.records"
 	CtrIngestChunks      = "ingest.chunks"
@@ -246,10 +241,6 @@ var registered = map[string]bool{
 	CtrAssignFrames:      true,
 	CtrTraceRetained:     true,
 	CtrTraceRetainedSlow: true,
-	CtrProfileCPU:        true,
-	CtrProfileHeap:       true,
-	CtrProfilePruned:     true,
-	CtrProfileErrors:     true,
 	CtrIngestRecords:     true,
 	CtrIngestChunks:      true,
 	CtrIngestRefits:      true,

@@ -10,7 +10,6 @@ func TestCounterRegistry(t *testing.T) {
 		CtrCDUsPopulated, CtrDenseUnits, CtrPopulateRecords,
 		CtrAssignFrames,
 		CtrTraceRetained, CtrTraceRetainedSlow,
-		CtrProfileCPU, CtrProfileHeap, CtrProfilePruned, CtrProfileErrors,
 		CtrIngestRecords, CtrIngestChunks, CtrIngestRefits, CtrIngestRefitErrors,
 		CtrSwapChecks, CtrSwapSwaps, CtrSwapErrors,
 	} {
@@ -161,10 +160,6 @@ func TestPromNameMapping(t *testing.T) {
 		CtrAssignFrames:      "pmafia_assign_frames",
 		CtrTraceRetained:     "pmafia_trace_retained",
 		CtrTraceRetainedSlow: "pmafia_trace_retained_slow",
-		CtrProfileCPU:        "pmafia_profile_cpu",
-		CtrProfileHeap:       "pmafia_profile_heap",
-		CtrProfilePruned:     "pmafia_profile_pruned",
-		CtrProfileErrors:     "pmafia_profile_errors",
 		CtrIngestRecords:     "pmafia_ingest_records",
 		CtrIngestChunks:      "pmafia_ingest_chunks",
 		CtrIngestRefits:      "pmafia_ingest_refits",

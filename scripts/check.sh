@@ -78,8 +78,8 @@ else
     echo "staticcheck: not installed and module proxy unreachable — skipped" >&2
 fi
 
-# Metric-name hygiene: every trace.*/profile.* (and every other)
-# counter the daemon emits must belong to the closed obs registry with
+# Metric-name hygiene: every trace.* (and every other) counter the
+# daemon emits must belong to the closed obs registry with
 # a locked Prometheus mapping, and no metric-name string literal may
 # bypass the registry constants.
 echo "== metric-name registry gate"
@@ -105,8 +105,7 @@ gate -run 'TestConcurrentAssignAndScrape' ./internal/daemon -race -count=1
 gate -run 'TestPropertyMatchesOracle|TestFittedModelMatchesEngineAssign' ./internal/assign -race -count=1
 
 # The fit path's population kernels (bit-sliced direct, grouped bitset,
-# grouped map, and the direct kernel counting from the binned copy)
-# must agree count for count with the scalar per-record oracle on
+# and the direct kernel counting from the binned copy) must agree count for count with the scalar per-record oracle on
 # edge-case records, partial blocks, and sharded workers; parallel fits
 # whose ranks count from pooled copies must equal the serial fit; a
 # damaged or uncreatable copy must fall back to the shard with the
@@ -131,13 +130,16 @@ echo "== recovery gate (crash resume + torn-checkpoint fallback)"
 gate -run 'TestResumeDeterminismMatrix|TestTornCheckpointFallsBack' ./internal/supervisor -race -count=1
 
 if [ "$smoke" = 1 ]; then
+    # Minimizing each new input would otherwise eat most of the 10 s
+    # window (a few thousand execs); one minimization step per input
+    # leaves the window to fuzzing.
     echo "== fuzz smoke (FuzzOpen + FuzzDecode + FuzzLoad + FuzzReadCSV + FuzzAssignFrame + FuzzPopulateKernels, 10s each)"
-    gate -fuzz FuzzOpen ./internal/diskio -run '^$' -fuzztime 10s
-    gate -fuzz FuzzDecode ./internal/ckpt -run '^$' -fuzztime 10s
-    gate -fuzz FuzzLoad ./internal/modelio -run '^$' -fuzztime 10s
-    gate -fuzz FuzzReadCSV ./internal/dataset -run '^$' -fuzztime 10s
-    gate -fuzz FuzzAssignFrame ./internal/daemon -run '^$' -fuzztime 10s
-    gate -fuzz FuzzPopulateKernels ./internal/mafia -run '^$' -fuzztime 10s
+    gate -fuzz FuzzOpen ./internal/diskio -run '^$' -fuzztime 10s -fuzzminimizetime 1x
+    gate -fuzz FuzzDecode ./internal/ckpt -run '^$' -fuzztime 10s -fuzzminimizetime 1x
+    gate -fuzz FuzzLoad ./internal/modelio -run '^$' -fuzztime 10s -fuzzminimizetime 1x
+    gate -fuzz FuzzReadCSV ./internal/dataset -run '^$' -fuzztime 10s -fuzzminimizetime 1x
+    gate -fuzz FuzzAssignFrame ./internal/daemon -run '^$' -fuzztime 10s -fuzzminimizetime 1x
+    gate -fuzz FuzzPopulateKernels ./internal/mafia -run '^$' -fuzztime 10s -fuzzminimizetime 1x
 
     # Short runs of every workload against a freshly built pmafiad,
     # including the check that a corrupted label must fail the run.
