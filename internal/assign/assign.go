@@ -7,17 +7,21 @@
 // lookups per record. The index instead enumerates all cover boxes
 // once, in cluster order, and stores for every (dimension, bin) the
 // bitset of boxes a record falling in that bin can still satisfy
-// (all-ones for dimensions a box does not constrain). Labeling a
-// record is then d bin lookups — BinOf's exact arithmetic followed by
-// a direct fine-unit→bin table read — and a
-// d-way bitset AND; because boxes are enumerated in cluster order,
-// the first set bit of the intersection names the first matching
-// cluster, reproducing the oracle's label bit for bit.
+// (all-ones for dimensions a box does not constrain). A dimension in
+// which every box's bin run spans every bin has all-ones rows only, so
+// New lists the dimensions where some box's run leaves a bin out, and
+// labeling a record is one bin lookup per listed dimension — BinOf's
+// exact arithmetic followed by a direct fine-unit→bin table read — and
+// a bitset AND over those rows; the unlisted dimensions are never
+// binned, as the population kernel skips dimensions no CDU constrains.
+// Because boxes are enumerated in cluster order, the first set bit of
+// the intersection names the first matching cluster, reproducing the
+// oracle's label bit for bit.
 //
 // The hot path is a batch-of-records kernel: AssignChunk labels
 // BlockRecords records per outer iteration, dimension-major. Per
-// dimension the table pointer is hoisted out of the record loop and
-// the d-way AND is unrolled across the block, so
+// bound dimension the table pointer is hoisted out of the record loop
+// and the AND is unrolled across the block, so
 // a bin's bitset row and the boxCluster table are touched once per
 // block while they are hot instead of re-sliced once per record; a
 // per-block liveness word keeps the scalar path's early exit at
@@ -48,9 +52,10 @@ type dimTable struct {
 
 // Index labels records against a fixed set of clusters over a fixed
 // grid. It is immutable after New and safe for concurrent use as long
-// as each goroutine brings its own Scratch buffer.
+// as each goroutine brings its own scratch buffer (see ScratchWords).
 type Index struct {
 	dims       []dimTable
+	bound      []int   // ascending dims some box's bin run leaves a bin out of; the only dims the kernels bin
 	words      int     // bitset words per bin: ceil(boxes/64)
 	boxCluster []int32 // box index (bit position) -> cluster index
 	clusters   int
@@ -109,7 +114,8 @@ func New(g *grid.Grid, clusters []cluster.Cluster) (*Index, error) {
 	}
 
 	// Enumerate cover boxes in cluster order and fill the per-bin
-	// candidate bitsets.
+	// candidate bitsets, noting the dims where a run leaves a bin out.
+	bound := make([]bool, len(g.Dims))
 	box := 0
 	for ci := range clusters {
 		c := &clusters[ci]
@@ -135,6 +141,9 @@ func New(g *grid.Grid, clusters []cluster.Cluster) (*Index, error) {
 				for bin := lo; bin <= hi; bin++ {
 					t.bits[bin*words+box/64] |= 1 << (box % 64)
 				}
+				if lo > 0 || hi < t.nbins-1 {
+					bound[d] = true
+				}
 			}
 			// Dimensions outside the cluster's subspace accept any bin.
 			x := 0
@@ -150,6 +159,11 @@ func New(g *grid.Grid, clusters []cluster.Cluster) (*Index, error) {
 			}
 			ix.boxCluster = append(ix.boxCluster, int32(ci))
 			box++
+		}
+	}
+	for di, b := range bound {
+		if b {
+			ix.bound = append(ix.bound, di)
 		}
 	}
 	// The two-word kernel indexes whole bin rows; regroup bits so a
@@ -181,10 +195,12 @@ func (ix *Index) Boxes() int { return len(ix.boxCluster) }
 // mask is one uint64, so the width is fixed at 64.
 const BlockRecords = 64
 
-// Scratch allocates a working buffer for AssignChunk:
-// one bitset accumulator per record of a full block (BlockRecords ×
-// words). Concurrent callers need one buffer each.
-func (ix *Index) Scratch() []uint64 { return make([]uint64, BlockRecords*ix.words) }
+// ScratchWords is the length of AssignChunk's working buffer: one
+// bitset accumulator per record of a full block (BlockRecords ×
+// words). Concurrent callers need one buffer each. The kernels write
+// every accumulator before they read it, so a recycled buffer needs no
+// clearing.
+func (ix *Index) ScratchWords() int { return BlockRecords * ix.words }
 
 // scratchNeed returns the scratch words AssignChunk needs for n
 // records: a full block's accumulators, or fewer when the whole chunk
@@ -221,17 +237,23 @@ func nzBit(a uint64) uint64 {
 
 // assignBlock labels n (1..BlockRecords) records stored row-major in
 // rows, writing labels[0:n]. scratch must have at least n*words
-// entries. The kernel is dimension-major: each dimension's table is
-// loaded once and applied to every record of the block, the liveness
-// word dropping records whose candidate set emptied so they cost
-// nothing on later dimensions — the per-record early exit of the
-// scalar path, at block granularity. Label order, clamping, and
-// tie-breaking are bit-identical to the scalar per-record oracle in
-// the package tests.
+// entries. The kernel is dimension-major over the bound dims: each
+// one's table is loaded once and applied to every record of the
+// block, the liveness word dropping records whose candidate set
+// emptied so they cost nothing on later dimensions — the per-record
+// early exit of the scalar path, at block granularity. Label order,
+// clamping, and tie-breaking are bit-identical to the scalar
+// per-record oracle in the package tests, which ANDs every dimension.
 func (ix *Index) assignBlock(rows []float64, n int, labels []int32, scratch []uint64) {
-	if ix.words == 0 {
+	if ix.words == 0 || len(ix.bound) == 0 {
+		// No boxes: every record is an outlier. No bound dims: every
+		// row is all-ones, so every record lands in box 0.
+		l := int32(-1)
+		if ix.words > 0 {
+			l = ix.boxCluster[0]
+		}
 		for r := 0; r < n; r++ {
-			labels[r] = -1
+			labels[r] = l
 		}
 		return
 	}
@@ -256,16 +278,20 @@ func (ix *Index) assignBlock1(rows []float64, n int, labels []int32, scratch []u
 	}
 	d := len(ix.dims)
 	acc := scratch[:n]
-	t := &ix.dims[0]
+	d0 := ix.bound[0]
+	t := &ix.dims[d0]
 	live := uint64(0)
 	for r := 0; r < n; r++ {
-		a := t.bits[t.bin(rows[r*d])]
+		a := t.bits[t.bin(rows[r*d+d0])]
 		acc[r] = a
 		if a != 0 {
 			live |= 1 << r
 		}
 	}
-	for di := 1; di < d && live != 0; di++ {
+	for _, di := range ix.bound[1:] {
+		if live == 0 {
+			break
+		}
 		t := &ix.dims[di]
 		for rem := live; rem != 0; {
 			r := bits.TrailingZeros64(rem)
@@ -308,12 +334,12 @@ func (ix *Index) assignBlock1(rows []float64, n int, labels []int32, scratch []u
 // early exit at block granularity.
 func (ix *Index) assignBlock1Full(acc *[BlockRecords]uint64, rows []float64, labels *[BlockRecords]int32) {
 	d := len(ix.dims)
-	t := &ix.dims[0]
+	p := ix.bound[0]
+	t := &ix.dims[p]
 	lo, width, fineF := t.lo, t.width, t.fineF
 	ub, bt := t.unitBin, t.bits
 	live := uint64(0)
 	alive := 0
-	p := 0
 	for r := 0; r < BlockRecords; r++ {
 		f := fineF * (rows[p] - lo) / width
 		a := bt[ub[grid.ClampUnit(f, ub)]]
@@ -321,7 +347,10 @@ func (ix *Index) assignBlock1Full(acc *[BlockRecords]uint64, rows []float64, lab
 		alive += int(nzBit(a) >> 63)
 		p += d
 	}
-	for di := 1; di < d && alive > 0; di++ {
+	for _, di := range ix.bound[1:] {
+		if alive == 0 {
+			break
+		}
 		t := &ix.dims[di]
 		if alive >= BlockRecords/2 {
 			// Dense pass: no liveness word to maintain, only a
@@ -380,17 +409,21 @@ func (ix *Index) assignBlock2(rows []float64, n int, labels []int32, scratch []u
 	}
 	d := len(ix.dims)
 	acc := scratch[:2*n]
-	t := &ix.dims[0]
+	d0 := ix.bound[0]
+	t := &ix.dims[d0]
 	live := uint64(0)
 	for r := 0; r < n; r++ {
-		b := 2 * t.bin(rows[r*d])
+		b := 2 * t.bin(rows[r*d+d0])
 		a0, a1 := t.bits[b], t.bits[b+1]
 		acc[2*r], acc[2*r+1] = a0, a1
 		if a0|a1 != 0 {
 			live |= 1 << r
 		}
 	}
-	for di := 1; di < d && live != 0; di++ {
+	for _, di := range ix.bound[1:] {
+		if live == 0 {
+			break
+		}
 		t := &ix.dims[di]
 		for rem := live; rem != 0; {
 			r := bits.TrailingZeros64(rem)
@@ -425,12 +458,12 @@ func (ix *Index) assignBlock2Full(scratch []uint64, rows []float64, labels *[Blo
 	acc0 := (*[BlockRecords]uint64)(scratch)
 	acc1 := (*[BlockRecords]uint64)(scratch[BlockRecords:])
 	d := len(ix.dims)
-	t := &ix.dims[0]
+	p := ix.bound[0]
+	t := &ix.dims[p]
 	lo, width, fineF := t.lo, t.width, t.fineF
 	ub, bt := t.unitBin, t.bits2
 	live := uint64(0)
 	cnt0 := 0
-	p := 0
 	for r := 0; r < BlockRecords; r++ {
 		f := fineF * (rows[p] - lo) / width
 		w := bt[ub[grid.ClampUnit(f, ub)]]
@@ -439,7 +472,10 @@ func (ix *Index) assignBlock2Full(scratch []uint64, rows []float64, labels *[Blo
 		p += d
 	}
 	alive := cnt0
-	for di := 1; di < d && alive > 0; di++ {
+	for _, di := range ix.bound[1:] {
+		if alive == 0 {
+			break
+		}
 		t := &ix.dims[di]
 		if alive >= BlockRecords/2 {
 			// Dense pass: no liveness word to maintain, only a
@@ -510,17 +546,21 @@ func (ix *Index) assignBlock2Full(scratch []uint64, rows []float64, labels *[Blo
 func (ix *Index) assignBlockN(rows []float64, n int, labels []int32, scratch []uint64) {
 	d, words := len(ix.dims), ix.words
 	acc := scratch[:words]
+	d0, rest := ix.bound[0], ix.bound[1:]
 	for r := 0; r < n; r++ {
 		rec := rows[r*d : (r+1)*d]
-		t := &ix.dims[0]
-		q := t.bin(rec[0]) * words
+		t := &ix.dims[d0]
+		q := t.bin(rec[d0]) * words
 		row := t.bits[q : q+words]
 		nz := uint64(0)
 		for w := range row {
 			acc[w] = row[w]
 			nz |= row[w]
 		}
-		for di := 1; di < d && nz != 0; di++ {
+		for _, di := range rest {
+			if nz == 0 {
+				break
+			}
 			t := &ix.dims[di]
 			q := t.bin(rec[di]) * words
 			row := t.bits[q : q+words]
@@ -544,7 +584,7 @@ func (ix *Index) assignBlockN(rows []float64, n int, labels []int32, scratch []u
 
 // AssignChunk labels len(labels) records stored row-major in chunk
 // (len(chunk) must be len(labels)*Dims()) without allocating, running
-// the batch kernel block by block; scratch comes from Scratch.
+// the batch kernel block by block; scratch holds ScratchWords words.
 func (ix *Index) AssignChunk(chunk []float64, labels []int32, scratch []uint64) error {
 	d := len(ix.dims)
 	if len(chunk) != len(labels)*d {

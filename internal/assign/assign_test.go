@@ -2,6 +2,7 @@ package assign_test
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"pmafia/internal/assign"
@@ -16,7 +17,7 @@ import (
 
 // uniformGrid builds a xi-bin uniform grid over d dims with the given
 // domains (thresholds are irrelevant to assignment).
-func uniformGrid(t *testing.T, domains []dataset.Range, xi int) *grid.Grid {
+func uniformGrid(t testing.TB, domains []dataset.Range, xi int) *grid.Grid {
 	t.Helper()
 	h := histogram.New(domains, 1000)
 	rec := make([]float64, len(domains))
@@ -340,7 +341,9 @@ func TestChunkAndSourceMatchRecord(t *testing.T) {
 // cluster-count (crossing the 1-, 2-, and N-word bitset kernels) ×
 // block size (tails, exactly one block, block+tail, multi-block), with
 // records on exact bin bounds, NaN, ±Inf, and out-of-domain values.
-// AssignChunk must reproduce the per-record labels bit-identically.
+// AssignChunk must reproduce the per-record labels bit-identically;
+// the kernels bin only the dims some box leaves a bin out of, and the
+// scalar labeler ANDs every dim.
 func TestBatchKernelPropertySweep(t *testing.T) {
 	r := rng.New(99)
 	blockSizes := []int{1, 7, 63, 64, 65, 2*64 + 17}
@@ -348,19 +351,28 @@ func TestBatchKernelPropertySweep(t *testing.T) {
 	// the word count: ~0, <64, ~64–128, and well past 128 boxes.
 	clusterCounts := []int{0, 2, 9, 45, 130}
 	const randomTrials = 15
-	// Two fixed shapes follow the random trials: d=64, where the
-	// per-record bin work dominates, and 512 clusters of two boxes
-	// each, whose 1024-box bitset spans 16 words (the record-major
-	// N-word kernel). Their clusters constrain exactly three dims, so
-	// records still land inside them.
-	shapes := []struct{ d, clusters int }{{64, 48}, {10, 512}}
+	// Fixed shapes of two-box clusters follow the random trials: d=64,
+	// where the per-record bin work dominates, and 512 clusters, whose
+	// 1024-box bitset spans 16 words (the record-major N-word kernel),
+	// constrain exactly three dims each, so records still land inside
+	// them. Three d=32 shapes draw clusters over 2-3 of the same 8
+	// dims (pool), at 1, 2 and 4 bitset words, so every kernel skips
+	// most dims, often the first. In the last, every box spans every
+	// bin of each dim it constrains (spanAll): no dim is binned, and
+	// every record, NaN and ±Inf included, gets the first cluster's
+	// label.
+	shapes := []struct {
+		d, clusters, pool int
+		spanAll           bool
+	}{{64, 48, 0, false}, {10, 512, 0, false}, {32, 20, 8, false}, {32, 50, 8, false}, {32, 100, 8, false}, {6, 5, 0, true}}
 	for trial := 0; trial < randomTrials+len(shapes); trial++ {
 		d := 1 + r.Intn(8)
 		ncl := clusterCounts[trial%len(clusterCounts)]
-		fixedK, fixedBoxes := 0, 0
+		fixedK, fixedBoxes, poolSize, spanAll := 0, 0, 0, false
 		if trial >= randomTrials {
 			shape := shapes[trial-randomTrials]
 			d, ncl, fixedK, fixedBoxes = shape.d, shape.clusters, 3, 2
+			poolSize, spanAll = shape.pool, shape.spanAll
 		}
 		domains := make([]dataset.Range, d)
 		for i := range domains {
@@ -369,6 +381,10 @@ func TestBatchKernelPropertySweep(t *testing.T) {
 		}
 		xi := 2 + r.Intn(30)
 		g := uniformGrid(t, domains, xi)
+		var pool []int
+		if poolSize > 0 {
+			pool = r.Perm(d)[:poolSize]
+		}
 
 		cs := make([]cluster.Cluster, 0, ncl)
 		for ci := 0; ci < ncl; ci++ {
@@ -377,8 +393,15 @@ func TestBatchKernelPropertySweep(t *testing.T) {
 				k = fixedK
 			}
 			dims := make([]uint8, 0, k)
-			for _, di := range r.Perm(d)[:k] {
-				dims = append(dims, uint8(di))
+			if pool != nil {
+				k = 2 + r.Intn(2)
+				for _, x := range r.Perm(len(pool))[:k] {
+					dims = append(dims, uint8(pool[x]))
+				}
+			} else {
+				for _, di := range r.Perm(d)[:k] {
+					dims = append(dims, uint8(di))
+				}
 			}
 			for i := 1; i < len(dims); i++ { // insertion sort ascending
 				for j := i; j > 0 && dims[j-1] > dims[j]; j-- {
@@ -397,6 +420,9 @@ func TestBatchKernelPropertySweep(t *testing.T) {
 					a, b := r.Intn(xi), r.Intn(xi)
 					if a > b {
 						a, b = b, a
+					}
+					if spanAll {
+						a, b = 0, xi-1
 					}
 					lo[x], hi[x] = uint8(a), uint8(b)
 				}
@@ -456,6 +482,10 @@ func TestBatchKernelPropertySweep(t *testing.T) {
 					t.Fatalf("trial %d (clusters=%d boxes=%d) n=%d: AssignChunk record %d labeled %d, AssignRecord says %d",
 						trial, ncl, ix.Boxes(), n, i, got[i], want[i])
 				}
+				if spanAll && got[i] != 0 {
+					t.Fatalf("trial %d n=%d: record %v labeled %d; every box spans every bin, so it is cluster 0's",
+						trial, n, flat[i*d:(i+1)*d], got[i])
+				}
 			}
 		}
 	}
@@ -509,5 +539,84 @@ func TestFittedModelMatchesEngineAssign(t *testing.T) {
 	}
 	if mismatch > 0 {
 		t.Errorf("%d/%d labels differ from the linear oracle", mismatch, len(want))
+	}
+}
+
+// BenchmarkAssignChunk labels a 4096-record chunk of 10-d records drawn
+// around two clusters over dims {1,4} and {0,3,6}, the shape of the
+// daemon's framed requests, against two models on one grid of 5-wide
+// bins over [0,200): "bound=5of10" has boxes over exactly those dims,
+// so the kernels bin five dims; in "bound=10of10" each cluster also
+// constrains every other dim to all bins but the last, which no record
+// reaches (the data lie in [0,100)), so both label every record the
+// same but the second leaves no dim to skip.
+func BenchmarkAssignChunk(b *testing.B) {
+	const d, n, xi = 10, 4096, 40
+	m, _, err := datagen.Generate(datagen.Spec{
+		Dims:    d,
+		Records: n,
+		Clusters: []datagen.Cluster{
+			datagen.UniformBox([]int{1, 4}, []dataset.Range{{Lo: 20, Hi: 40}, {Lo: 55, Hi: 80}}, 0),
+			datagen.UniformBox([]int{0, 3, 6}, []dataset.Range{{Lo: 10, Hi: 30}, {Lo: 40, Hi: 70}, {Lo: 60, Hi: 90}}, 0),
+		},
+		Seed: 1,
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	domains := make([]dataset.Range, d)
+	for i := range domains {
+		domains[i] = dataset.Range{Lo: 0, Hi: 200}
+	}
+	g := uniformGrid(b, domains, xi)
+	vals := m.Values[:n*d]
+	// Each cluster as (dim, first bin, last bin) runs.
+	runs := [][][3]uint8{
+		{{1, 4, 7}, {4, 11, 15}},
+		{{0, 2, 5}, {3, 8, 13}, {6, 12, 17}},
+	}
+	model := func(every bool) []cluster.Cluster {
+		cs := make([]cluster.Cluster, len(runs))
+		for ci, rs := range runs {
+			var dims, lo, hi []uint8
+			for di := uint8(0); di < d; di++ {
+				a, z, ok := uint8(0), uint8(xi-2), every
+				for _, r := range rs {
+					if r[0] == di {
+						a, z, ok = r[1], r[2], true
+					}
+				}
+				if ok {
+					dims, lo, hi = append(dims, di), append(lo, a), append(hi, z)
+				}
+			}
+			cs[ci] = clusterOver(dims, lo, hi)
+		}
+		return cs
+	}
+	var ref []int32 // the first model's labels, which the second must repeat
+	for _, bc := range []struct {
+		name  string
+		every bool
+	}{{"bound=5of10", false}, {"bound=10of10", true}} {
+		b.Run(bc.name, func(b *testing.B) {
+			ix, err := assign.New(g, model(bc.every))
+			if err != nil {
+				b.Fatal(err)
+			}
+			labels, scratch := make([]int32, n), ix.Scratch()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if err := ix.AssignChunk(vals, labels, scratch); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(n)*float64(b.N)/b.Elapsed().Seconds(), "rec/s")
+			if ref == nil {
+				ref = append([]int32(nil), labels...)
+			} else if !slices.Equal(labels, ref) {
+				b.Fatal("the two models label the chunk differently")
+			}
+		})
 	}
 }

@@ -9,6 +9,9 @@ import (
 // kernels are property-tested against. It lives with the tests because
 // no production path labels one record at a time.
 
+// Scratch allocates a working buffer for AssignChunk and AssignRecord.
+func (ix *Index) Scratch() []uint64 { return make([]uint64, ix.ScratchWords()) }
+
 // AssignRecord labels one record: the index of the first cluster
 // containing it, or -1 for an outlier. scratch comes from Scratch.
 func (ix *Index) AssignRecord(rec []float64, scratch []uint64) (int32, error) {

@@ -475,24 +475,14 @@ func (d *Daemon) assign(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	t := traceOf(r.Context())
-	// Shed load while the client is still listening: a brief queue wait
-	// absorbs bursts, then 503 instead of stalling until ReadTimeout.
 	enqueued := time.Now()
-	queue := time.NewTimer(queueWait)
-	defer queue.Stop()
-	select {
-	case d.sem <- struct{}{}:
-		defer func() { <-d.sem }()
-		admitted := time.Now()
-		t.Mark(obs.StageQueue, enqueued, admitted)
-		d.rec.Observe(0, obs.HistAssignQueueSeconds, admitted.Sub(enqueued).Seconds())
-	case <-queue.C:
-		http.Error(w, "server busy", http.StatusServiceUnavailable)
-		return
-	case <-r.Context().Done():
-		// Client gave up while queued; nothing useful to write.
+	if !d.admit(w, r) {
 		return
 	}
+	defer func() { <-d.sem }()
+	admitted := time.Now()
+	t.Mark(obs.StageQueue, enqueued, admitted)
+	d.rec.Observe(0, obs.HistAssignQueueSeconds, admitted.Sub(enqueued).Seconds())
 	path, err := d.resolve(r.URL.Query().Get("model"))
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusBadRequest)
@@ -514,9 +504,11 @@ func (d *Daemon) assign(w http.ResponseWriter, r *http.Request) {
 	t.Model = filepath.Base(path)
 
 	decodeStart := time.Now()
+	bufs := bufPool.Get().(*assignBufs)
+	defer bufs.put()
 	body := http.MaxBytesReader(w, r.Body, d.cfg.MaxBody)
 	frameIn := strings.HasPrefix(r.Header.Get("Content-Type"), ContentTypeFrame)
-	vals, err := decodeRecords(body, frameIn, cx.ix.Dims(), d.cfg.MaxBody)
+	vals, err := decodeRecords(body, frameIn, cx.ix.Dims(), d.cfg.MaxBody, bufs.vals)
 	decodeStage := obs.StageDecode
 	if frameIn {
 		decodeStage = obs.StageFrameDecode
@@ -532,10 +524,13 @@ func (d *Daemon) assign(w http.ResponseWriter, r *http.Request) {
 	}
 	if frameIn {
 		d.rec.Add(0, obs.CtrAssignFrames, 1)
+		bufs.vals = vals
 	}
 	assignStart := time.Now()
-	labels := make([]int32, len(vals)/cx.ix.Dims())
-	err = cx.ix.AssignChunk(vals, labels, cx.ix.Scratch())
+	bufs.labels = grow(bufs.labels, len(vals)/cx.ix.Dims())
+	bufs.scratch = grow(bufs.scratch, cx.ix.ScratchWords())
+	labels := bufs.labels
+	err = cx.ix.AssignChunk(vals, labels, bufs.scratch)
 	t.Mark(obs.StageKernel, assignStart, time.Now())
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusInternalServerError)
@@ -549,11 +544,11 @@ func (d *Daemon) assign(w http.ResponseWriter, r *http.Request) {
 	defer func() { t.Mark(obs.StageEncode, encodeStart, time.Now()) }()
 	if frameIn {
 		w.Header().Set("Content-Type", "application/octet-stream")
-		buf := make([]byte, 4*len(labels))
+		bufs.reply = grow(bufs.reply, 4*len(labels))
 		for i, l := range labels {
-			binary.LittleEndian.PutUint32(buf[4*i:], uint32(l))
+			binary.LittleEndian.PutUint32(bufs.reply[4*i:], uint32(l))
 		}
-		w.Write(buf)
+		w.Write(bufs.reply) // a Writer retains nothing of what it is given
 		return
 	}
 	resp := assignResponse{
@@ -570,15 +565,75 @@ func (d *Daemon) assign(w http.ResponseWriter, r *http.Request) {
 	json.NewEncoder(w).Encode(resp)
 }
 
+// admit takes an in-flight slot for an /assign request. Only when all
+// are taken does it wait, for at most queueWait, so a brief queue
+// absorbs bursts and the daemon then sheds load with a 503 while the
+// client is still listening instead of stalling until ReadTimeout. It
+// reports whether the request holds a slot.
+func (d *Daemon) admit(w http.ResponseWriter, r *http.Request) bool {
+	select {
+	case d.sem <- struct{}{}:
+		return true
+	default:
+	}
+	queue := time.NewTimer(queueWait)
+	defer queue.Stop()
+	select {
+	case d.sem <- struct{}{}:
+		return true
+	case <-queue.C:
+		http.Error(w, "server busy", http.StatusServiceUnavailable)
+	case <-r.Context().Done():
+		// Client gave up while queued; nothing useful to write.
+	}
+	return false
+}
+
+// assignBufs is the working set one /assign request recycles: decoded
+// frame values, labels, the framed reply and the kernel scratch. Each
+// is resliced to the request's size and written in full before it is
+// read, so a steady stream of frames zeroes and allocates nothing that
+// grows with the frame.
+type assignBufs struct {
+	vals    []float64
+	labels  []int32
+	reply   []byte
+	scratch []uint64
+}
+
+// bufPool recycles assignBufs between requests. The pool empties
+// itself over garbage collections, and put drops a set grown past
+// maxPooledLen, so what a huge request left behind is reclaimed.
+var bufPool = sync.Pool{New: func() any { return new(assignBufs) }}
+
+// maxPooledLen bounds the values (8 MiB) and labels a pooled set keeps.
+const maxPooledLen = 1 << 20
+
+func (b *assignBufs) put() {
+	if cap(b.vals) <= maxPooledLen && cap(b.labels) <= maxPooledLen {
+		bufPool.Put(b)
+	}
+}
+
+// grow returns s resliced to n elements, allocating only when its
+// capacity is short; the elements hold whatever the last user left.
+func grow[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
+}
+
 // decodeRecords reads a request body of dims-dimensional records, the
 // shared decoder of /assign and /ingest: one PMAS frame when frame is
-// set, CSV otherwise. The frame decoder checks the header's dims; a
-// CSV body must have exactly dims columns, because the batch kernel
-// only sees a flat value slice and would otherwise relabel a narrower
-// body as fewer, wider records.
-func decodeRecords(r io.Reader, frame bool, dims int, maxBytes int64) ([]float64, error) {
+// set, decoded into buf when it is large enough, CSV otherwise. The
+// frame decoder checks the header's dims; a CSV body must have
+// exactly dims columns, because the batch kernel only sees a flat
+// value slice and would otherwise relabel a narrower body as fewer,
+// wider records.
+func decodeRecords(r io.Reader, frame bool, dims int, maxBytes int64, buf []float64) ([]float64, error) {
 	if frame {
-		return decodeFrame(r, dims, maxBytes)
+		return decodeFrame(r, dims, maxBytes, buf)
 	}
 	m, _, err := dataset.ReadCSV(r)
 	if err != nil {

@@ -10,10 +10,12 @@ package daemon
 //	12      4     uint32 records
 //	16      8*dims*records  row-major little-endian float64 values
 //
-// The header declares the payload size up front, so the decoder
-// allocates the float64 output once and reads the body straight into
-// it — no staging buffer, no per-value copy on a little-endian host —
-// and a hostile length can be rejected before any payload is read.
+// The header declares the payload size up front, so the decoder sizes
+// the float64 output once — reusing the caller's recycled buffer when
+// it is large enough, allocating otherwise — and reads the body
+// straight into it: no staging buffer, no zeroing, no per-value copy
+// on a little-endian host; and a hostile length can be rejected before
+// any payload is read or any buffer sized.
 // Every malformed input maps to a typed error below; the decoder never
 // panics and never reads past the declared payload.
 
@@ -72,13 +74,14 @@ func EncodeFrame(dims int, vals []float64) ([]byte, error) {
 }
 
 // decodeFrame reads one frame from r and returns its values, validated
-// against the model dimensionality. maxBytes is the request body cap:
-// a frame whose declared payload (header included) would exceed it is
-// rejected with ErrFrameTooLarge before the payload is read, so a
-// hostile record count costs the server nothing. The reader is
-// expected to hold exactly one frame; any bytes after the declared
-// payload are ErrFrameTrailing.
-func decodeFrame(r io.Reader, wantDims int, maxBytes int64) ([]float64, error) {
+// against the model dimensionality, in buf when its capacity holds
+// them. maxBytes is the request body cap: a frame whose declared
+// payload (header included) would exceed it is rejected with
+// ErrFrameTooLarge before the payload is read, so a hostile record
+// count costs the server nothing. The reader is expected to hold
+// exactly one frame; any bytes after the declared payload are
+// ErrFrameTrailing.
+func decodeFrame(r io.Reader, wantDims int, maxBytes int64, buf []float64) ([]float64, error) {
 	var hdr [frameHeaderSize]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
 		if err == io.EOF || err == io.ErrUnexpectedEOF {
@@ -102,7 +105,7 @@ func decodeFrame(r io.Reader, wantDims int, maxBytes int64) ([]float64, error) {
 	if maxBytes > 0 && int64(records) > (maxBytes-frameHeaderSize)/(int64(dims)*8) {
 		return nil, fmt.Errorf("%w: %d records of %d dims", ErrFrameTooLarge, records, dims)
 	}
-	vals := make([]float64, int64(records)*int64(dims))
+	vals := grow(buf, int(int64(records)*int64(dims)))
 	if _, err := io.ReadFull(r, dataset.Bytes(vals)); err != nil {
 		if err == io.EOF || err == io.ErrUnexpectedEOF {
 			return nil, ErrFrameTruncated

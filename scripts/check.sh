@@ -1,7 +1,8 @@
 #!/bin/sh
 # Extended tier-1 gate: vet (also for a big-endian target), formatting,
 # and the full test suite under the race detector, then named gates
-# that must each resolve to real tests (metric names, serving,
+# that must each resolve to real tests (metric names, serving: the
+# batch assign kernels and the framed handler's allocations,
 # population kernels and the binned copy they count from, hot swap,
 # recovery). With -smoke it additionally runs the fuzz smoke (every
 # untrusted-input decoder: .pmaf files, checkpoints, .pmfm models, CSV
@@ -97,12 +98,17 @@ echo "== go test -race ./..."
 go test -race ./...
 
 # The serving path has its own named gates: the daemon must survive
-# concurrent assignment + scraping with a leak-free shutdown, and the
-# compiled assignment index must agree bit-for-bit with the engine's
-# linear-scan oracle.
-echo "== serving gate (daemon concurrency/leak + assign differential)"
+# concurrent assignment + scraping with a leak-free shutdown, the
+# compiled assignment index and its batch kernels (which bin only the
+# dimensions some box bounds) must agree bit-for-bit with the engine's
+# linear-scan oracle and the scalar labeler, and a warm framed /assign
+# must allocate the pinned count with no bytes that grow with the
+# frame. The allocation pin runs without -race, whose sync.Pool drops
+# recycled buffers at random (the test skips itself under -race).
+echo "== serving gate (daemon concurrency/leak + assign differential + framed allocations)"
 gate -run 'TestConcurrentAssignAndScrape' ./internal/daemon -race -count=1
-gate -run 'TestPropertyMatchesOracle|TestFittedModelMatchesEngineAssign' ./internal/assign -race -count=1
+gate -run 'TestPropertyMatchesOracle|TestFittedModelMatchesEngineAssign|TestBatchKernelPropertySweep' ./internal/assign -race -count=1
+gate -run 'TestFramedHandlerAllocs' ./internal/daemon -count=1
 
 # The fit path's population kernels (bit-sliced direct, grouped bitset,
 # and the direct kernel counting from the binned copy) must agree count for count with the scalar per-record oracle on
