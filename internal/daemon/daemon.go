@@ -163,6 +163,7 @@ type Daemon struct {
 	sem chan struct{} // bounds in-flight /assign work
 
 	alog     *accessLog
+	names    metricNames
 	idSeq    atomic.Int64
 	idPrefix string
 	draining atomic.Bool
@@ -508,7 +509,7 @@ func (d *Daemon) assign(w http.ResponseWriter, r *http.Request) {
 	defer bufs.put()
 	body := http.MaxBytesReader(w, r.Body, d.cfg.MaxBody)
 	frameIn := strings.HasPrefix(r.Header.Get("Content-Type"), ContentTypeFrame)
-	vals, err := decodeRecords(body, frameIn, cx.ix.Dims(), d.cfg.MaxBody, bufs.vals)
+	vals, err := decodeRecords(body, frameIn, cx.ix.Dims(), d.cfg.MaxBody, bufs.vals, &bufs.hdr)
 	decodeStage := obs.StageDecode
 	if frameIn {
 		decodeStage = obs.StageFrameDecode
@@ -589,12 +590,13 @@ func (d *Daemon) admit(w http.ResponseWriter, r *http.Request) bool {
 	return false
 }
 
-// assignBufs is the working set one /assign request recycles: decoded
-// frame values, labels, the framed reply and the kernel scratch. Each
-// is resliced to the request's size and written in full before it is
-// read, so a steady stream of frames zeroes and allocates nothing that
-// grows with the frame.
+// assignBufs is the working set one /assign request recycles: the
+// frame header, decoded frame values, labels, the framed reply and the
+// kernel scratch. Each is resliced to the request's size and written
+// in full before it is read, so a steady stream of frames zeroes and
+// allocates nothing that grows with the frame.
 type assignBufs struct {
+	hdr     [frameHeaderSize]byte
 	vals    []float64
 	labels  []int32
 	reply   []byte
@@ -626,14 +628,15 @@ func grow[T any](s []T, n int) []T {
 
 // decodeRecords reads a request body of dims-dimensional records, the
 // shared decoder of /assign and /ingest: one PMAS frame when frame is
-// set, decoded into buf when it is large enough, CSV otherwise. The
+// set, its header read into hdr and its values decoded into buf when
+// it is large enough (see decodeFrame), CSV otherwise. The
 // frame decoder checks the header's dims; a CSV body must have
 // exactly dims columns, because the batch kernel only sees a flat
 // value slice and would otherwise relabel a narrower body as fewer,
 // wider records.
-func decodeRecords(r io.Reader, frame bool, dims int, maxBytes int64, buf []float64) ([]float64, error) {
+func decodeRecords(r io.Reader, frame bool, dims int, maxBytes int64, buf []float64, hdr *[frameHeaderSize]byte) ([]float64, error) {
 	if frame {
-		return decodeFrame(r, dims, maxBytes, buf)
+		return decodeFrame(r, dims, maxBytes, buf, hdr)
 	}
 	m, _, err := dataset.ReadCSV(r)
 	if err != nil {

@@ -75,14 +75,18 @@ func EncodeFrame(dims int, vals []float64) ([]byte, error) {
 
 // decodeFrame reads one frame from r and returns its values, validated
 // against the model dimensionality, in buf when its capacity holds
-// them. maxBytes is the request body cap: a frame whose declared
-// payload (header included) would exceed it is rejected with
-// ErrFrameTooLarge before the payload is read, so a hostile record
-// count costs the server nothing. The reader is expected to hold
-// exactly one frame; any bytes after the declared payload are
-// ErrFrameTrailing.
-func decodeFrame(r io.Reader, wantDims int, maxBytes int64, buf []float64) ([]float64, error) {
-	var hdr [frameHeaderSize]byte
+// them. The header is read into hdr, or into a fresh array when hdr is
+// nil: any buffer handed to a Reader escapes to the heap, so a caller
+// that recycles one saves an allocation per frame. maxBytes is the
+// request body cap: a frame whose declared payload (header included)
+// would exceed it is rejected with ErrFrameTooLarge before the payload
+// is read, so a hostile record count costs the server nothing. The
+// reader is expected to hold exactly one frame; any bytes after the
+// declared payload are ErrFrameTrailing.
+func decodeFrame(r io.Reader, wantDims int, maxBytes int64, buf []float64, hdr *[frameHeaderSize]byte) ([]float64, error) {
+	if hdr == nil {
+		hdr = new([frameHeaderSize]byte)
+	}
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
 		if err == io.EOF || err == io.ErrUnexpectedEOF {
 			return nil, ErrFrameTruncated

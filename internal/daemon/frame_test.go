@@ -221,7 +221,7 @@ func FuzzAssignFrame(f *testing.F) {
 		for i := range dirty {
 			dirty[i] = math.Float64frombits(0x7ff4dead0000beef)
 		}
-		vals, err := decodeFrame(cr, wantDims, maxBytes, dirty)
+		vals, err := decodeFrame(cr, wantDims, maxBytes, dirty, nil)
 		if err != nil {
 			for _, typed := range []error{ErrFrameMagic, ErrFrameVersion, ErrFrameDims,
 				ErrFrameTruncated, ErrFrameTooLarge, ErrFrameTrailing} {
@@ -268,7 +268,7 @@ func TestDecodeFrameAllocatesOnlyValues(t *testing.T) {
 	rd := bytes.NewReader(frame)
 	decode := func() {
 		rd.Reset(frame)
-		got, err := decodeFrame(rd, dims, 1<<20, nil)
+		got, err := decodeFrame(rd, dims, 1<<20, nil, nil)
 		if err != nil || len(got) != len(vals) {
 			t.Fatalf("decode: %d values, %v", len(got), err)
 		}
@@ -317,9 +317,10 @@ func raceBuild() bool {
 // TestFramedHandlerAllocs pins what one framed /assign request costs
 // the daemon's handler, middleware included, once warm: 8-record and
 // 4096-record frames make the same number of allocations, and the
-// bytes they allocate do not grow with the frame — the values, labels,
-// reply and kernel scratch are recycled, and an uncontended request
-// starts no queue timer.
+// bytes they allocate do not grow with the frame — the frame header,
+// values, labels, reply and kernel scratch are recycled, metric names
+// are built once per route, status and model, and an uncontended
+// request starts no queue timer.
 func TestFramedHandlerAllocs(t *testing.T) {
 	if raceBuild() {
 		t.Skip("the race detector's sync.Pool drops buffers at random")
@@ -353,9 +354,8 @@ func TestFramedHandlerAllocs(t *testing.T) {
 		}
 	}
 	// Warm up the model cache, the buffer pool, the metric series and
-	// the trace ring's slow slot with the slower size, and take request
-	// IDs past 255: fmt boxes a larger sequence number in one more
-	// allocation.
+	// their cached names, and the trace ring's slow slot with the slower
+	// size.
 	const warm = 300
 	for i := 0; i < warm; i++ {
 		serve(frames[4096])()
@@ -387,7 +387,7 @@ func TestFramedHandlerAllocs(t *testing.T) {
 	if grew := int64(bytesPer[4096]) - int64(bytesPer[8]); grew > 512 {
 		t.Errorf("a 4096-record frame allocates %d B per request, %d more than an 8-record one", bytesPer[4096], grew)
 	}
-	const pinned = 22
+	const pinned = 14
 	if allocs[4096] > pinned {
 		t.Errorf("a framed request makes %v allocations, pinned at %d", allocs[4096], pinned)
 	}

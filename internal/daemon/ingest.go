@@ -60,7 +60,7 @@ func (d *Daemon) ingestHandler(w http.ResponseWriter, r *http.Request) {
 	// must decode to whole dims-dimensional records.
 	if _, err := body.Peek(1); err != io.EOF {
 		frameIn := strings.HasPrefix(r.Header.Get("Content-Type"), ContentTypeFrame)
-		vals, err := decodeRecords(body, frameIn, dims, d.cfg.MaxBody, nil)
+		vals, err := decodeRecords(body, frameIn, dims, d.cfg.MaxBody, nil, nil)
 		if err == nil && len(vals) > 0 {
 			appended = len(vals) / dims
 			err = d.ing.Append(vals, appended)

@@ -15,6 +15,7 @@ import (
 	"io"
 	"net/http"
 	"runtime/debug"
+	"strconv"
 	"sync"
 	"time"
 
@@ -86,12 +87,20 @@ func validRequestID(id string) bool {
 }
 
 // requestID returns the client-provided X-Request-ID if it passes
-// sanitization, or generates one (process prefix + sequence number).
+// sanitization, or generates one: the process prefix, a dash and the
+// sequence number zero-padded to six digits, built with one allocation.
 func (d *Daemon) requestID(r *http.Request) string {
 	if id := r.Header.Get("X-Request-ID"); validRequestID(id) {
 		return id
 	}
-	return fmt.Sprintf("%s-%06d", d.idPrefix, d.idSeq.Add(1))
+	var idBuf [48]byte
+	var seqBuf [20]byte
+	seq := strconv.AppendInt(seqBuf[:0], d.idSeq.Add(1), 10)
+	id := append(append(idBuf[:0], d.idPrefix...), '-')
+	for i := len(seq); i < 6; i++ {
+		id = append(id, '0')
+	}
+	return string(append(id, seq...))
 }
 
 // instrument wraps a handler with the full request-observability
@@ -148,12 +157,15 @@ func (d *Daemon) finish(t *obs.ServeTrace, sw *statusWriter, sampled bool) {
 	t.Status, t.Bytes = sw.status, sw.bytes
 	dur := t.Duration()
 
-	d.rec.Observe(0, obs.HistRouteSeconds(t.Route), dur)
-	d.rec.Add(0, obs.CtrHTTPStatus(t.Route, t.Status), 1)
+	routeSeconds := d.names.get(routeSecondsName, t.Route, 0)
+	d.rec.Observe(0, routeSeconds, dur)
+	d.rec.Add(0, d.names.get(httpStatusName, t.Route, t.Status), 1)
+	var modelSeconds string
 	if t.Model != "" {
-		d.rec.Observe(0, obs.HistModelSeconds(t.Model), dur)
+		modelSeconds = d.names.get(modelSecondsName, t.Model, 0)
+		d.rec.Observe(0, modelSeconds, dur)
 		if t.Records > 0 {
-			d.rec.Observe(0, obs.HistModelRecords(t.Model), float64(t.Records))
+			d.rec.Observe(0, d.names.get(modelRecordsName, t.Model, 0), float64(t.Records))
 		}
 	}
 
@@ -165,12 +177,66 @@ func (d *Daemon) finish(t *obs.ServeTrace, sw *statusWriter, sampled bool) {
 		// Exemplars point only at retained records — keyed by the
 		// request ID, the ring's lookup key — so following one from a
 		// dashboard never dead-ends on a dropped request.
-		d.rec.SetExemplar(obs.HistRouteSeconds(t.Route), dur, t.ID)
+		d.rec.SetExemplar(routeSeconds, dur, t.ID)
 		if t.Model != "" {
-			d.rec.SetExemplar(obs.HistModelSeconds(t.Model), dur, t.ID)
+			d.rec.SetExemplar(modelSeconds, dur, t.ID)
 		}
 	}
 	d.alog.write(t)
+}
+
+// metricNames caches the per-request metric names finish records
+// under, so a route, status or model seen before allocates no name.
+// Routes are fixed and only loaded models name series, so it holds
+// one entry per series the recorder already keeps.
+type metricNames struct {
+	mu    sync.RWMutex
+	names map[nameKey]string
+}
+
+// nameKey is one cached name: its family, the route or model it is
+// for and, for a status counter, the code.
+type nameKey struct {
+	family nameFamily
+	label  string
+	code   int
+}
+
+type nameFamily uint8
+
+const (
+	routeSecondsName nameFamily = iota
+	httpStatusName
+	modelSecondsName
+	modelRecordsName
+)
+
+// get returns the name of family for label and code.
+func (c *metricNames) get(family nameFamily, label string, code int) string {
+	k := nameKey{family, label, code}
+	c.mu.RLock()
+	name, ok := c.names[k]
+	c.mu.RUnlock()
+	if ok {
+		return name
+	}
+	switch family {
+	case routeSecondsName:
+		name = obs.HistRouteSeconds(label)
+	case httpStatusName:
+		name = obs.CtrHTTPStatus(label, code)
+	case modelSecondsName:
+		name = obs.HistModelSeconds(label)
+	default:
+		name = obs.HistModelRecords(label)
+	}
+	c.mu.Lock()
+	if c.names == nil {
+		c.names = make(map[nameKey]string)
+	}
+	c.names[k] = name
+	c.mu.Unlock()
+	return name
 }
 
 // accessRecord is one structured access-log line — and one

@@ -649,7 +649,7 @@ func TestInstrumentAbortHandlerPassthrough(t *testing.T) {
 
 // TestRequestIDSanitized: client-supplied X-Request-ID values with
 // control characters, spaces, or non-ASCII bytes are rejected (a
-// fresh ID is generated); clean ones are echoed.
+// fresh ID of the generated form is used); clean ones are echoed.
 func TestRequestIDSanitized(t *testing.T) {
 	dir := t.TempDir()
 	d, _ := startDaemon(t, Config{ModelDir: dir})
@@ -681,6 +681,14 @@ func TestRequestIDSanitized(t *testing.T) {
 	}
 	if validRequestID("") || !validRequestID(strings.Repeat("x", 128)) {
 		t.Error("validRequestID length edge cases wrong")
+	}
+	// A generated ID is the process prefix and the sequence number
+	// zero-padded to six digits.
+	for _, seq := range []int64{0, 41, 999998, 1234566} {
+		d.idSeq.Store(seq)
+		if got, want := do("has space"), fmt.Sprintf("%s-%06d", d.idPrefix, seq+1); got != want {
+			t.Errorf("generated ID %q, want %q", got, want)
+		}
 	}
 }
 

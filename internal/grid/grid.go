@@ -99,6 +99,21 @@ func (d *Dim) FineUnits() int { return d.fineUnits }
 // arithmetic build their own lookups from it.
 func (d *Dim) UnitBin(u int) uint8 { return d.unitToBin[u] }
 
+// SameBinning reports whether d and o put every value in the same bin:
+// equal domains and fine-unit counts, and bins over the same fine-unit
+// ranges. Bin counts and thresholds may differ.
+func (d *Dim) SameBinning(o *Dim) bool {
+	if d.Domain != o.Domain || d.fineUnits != o.fineUnits || len(d.Bins) != len(o.Bins) {
+		return false
+	}
+	for i := range d.Bins {
+		if d.Bins[i].UnitLo != o.Bins[i].UnitLo || d.Bins[i].UnitHi != o.Bins[i].UnitHi {
+			return false
+		}
+	}
+	return true
+}
+
 // ClampUnit is BinOf's clamp restated for straight-line kernels: given
 // f = fineUnits*(v-lo)/width, it returns the fine unit BinOf would read
 // for v, as an index into the caller's own unit table lut of fineUnits

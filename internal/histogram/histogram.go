@@ -98,28 +98,45 @@ func (h *Hist) AddRecord(rec []float64) {
 // bumped directly in the flat backing array. It walks the chunk one
 // dimension at a time, so only that dimension's count row is hot.
 func (h *Hist) AddChunk(chunk []float64, n int) {
+	rows := chunk[:n*len(h.Domains)]
+	for dim := range h.Domains {
+		h.countDim(dim, rows)
+	}
+	h.N += int64(n)
+}
+
+// Rebin sets dimension dim's domain and recounts its row over rows,
+// which must hold the N records h counted, row-major; the other
+// dimensions are left as they are. A stream whose records widened one
+// dimension's domain rebins that dimension alone.
+func (h *Hist) Rebin(dim int, domain dataset.Range, rows []float64) {
+	h.Domains[dim] = domain
+	h.lo[dim], h.width[dim] = domain.Lo, domain.Width()
+	clear(h.Counts[dim])
+	h.countDim(dim, rows[:int(h.N)*len(h.Domains)])
+}
+
+// countDim adds dimension dim of the row-major records in rows to its
+// count row.
+func (h *Hist) countDim(dim int, rows []float64) {
 	d := len(h.Domains)
 	units := h.Units
 	uf := float64(units)
-	rows := chunk[:n*d]
-	for dim := 0; dim < d; dim++ {
-		lo, width := h.lo[dim], h.width[dim]
-		counts := h.flat[dim*units : (dim+1)*units]
-		for p := dim; p < len(rows); p += d {
-			f := uf * (rows[p] - lo) / width
-			var u int
-			switch {
-			case !(f > 0): // also catches NaN
-				u = 0
-			case f >= uf:
-				u = units - 1
-			default:
-				u = int(f)
-			}
-			counts[u]++
+	lo, width := h.lo[dim], h.width[dim]
+	counts := h.flat[dim*units : (dim+1)*units]
+	for p := dim; p < len(rows); p += d {
+		f := uf * (rows[p] - lo) / width
+		var u int
+		switch {
+		case !(f > 0): // also catches NaN
+			u = 0
+		case f >= uf:
+			u = units - 1
+		default:
+			u = int(f)
 		}
+		counts[u]++
 	}
-	h.N += int64(n)
 }
 
 // AddSource counts every record of src, reading in chunks of

@@ -9,12 +9,15 @@
 // engine uses (histogram.AddChunk), under the same domain-widening and
 // unit-count rules, so a refit over the accumulated stream produces
 // bit-identical models to a batch fit over the same records: arriving
-// chunks fold into the running counts in O(chunk), and only a record
-// that falls outside every previously observed domain forces a rebuild
-// pass over the buffer. A refit is mafia.Run over the frozen snapshot
-// with the frozen histogram handed over through mafia.Config.Hist,
-// which skips the engine's own domains and histogram passes, followed
-// by modelio.SaveMeta of the result.
+// chunks fold into the running counts in O(chunk), and a record that
+// falls outside a dimension's observed domain forces a rebuild pass
+// over the buffer for that dimension's row alone. A refit is mafia.Run
+// over the frozen snapshot with the frozen histogram handed over
+// through mafia.Config.Hist, which skips the engine's own domains and
+// histogram passes, and the previous refit's CDU populations handed
+// over through mafia.Config.Populations, so every level whose CDUs and
+// bins are unchanged counts only the records appended since; then
+// modelio.SaveMeta writes the result.
 //
 // Concurrency model: Append and Refit are safe to call from any
 // goroutine. Refits are serialized (single-flight) and run against a
@@ -83,6 +86,11 @@ type Ingester struct {
 	// fit, never while holding mu.
 	fitMu sync.Mutex
 	wg    sync.WaitGroup
+	// pops holds the CDU populations the last refit counted, over a
+	// prefix of the append-only buffer; the next refit counts only the
+	// records past it at every level that kept its CDUs and bins.
+	// Guarded by fitMu.
+	pops mafia.Populations
 
 	mu       sync.Mutex
 	buf      *dataset.Matrix
@@ -136,10 +144,10 @@ func (ing *Ingester) Dims() int { return ing.dims }
 // Append folds n row-major records (n*Dims values) into the stream:
 // the records are buffered for future refits and the running fine
 // histogram absorbs them. When the records grow a dimension's observed
-// domain (or the auto-scaled unit count steps up), the histogram is
-// rebuilt over the whole buffer so its binning stays identical to what
-// a batch fit over the same data would compute. Triggers a background
-// refit when RefitEvery is crossed.
+// domain, that dimension's row is recounted over the whole buffer (and
+// every row is, when the auto-scaled unit count steps up), so the
+// binning stays identical to what a batch fit over the same data would
+// compute. Triggers a background refit when RefitEvery is crossed.
 func (ing *Ingester) Append(chunk []float64, n int) error {
 	d := ing.dims
 	if n <= 0 {
@@ -155,30 +163,47 @@ func (ing *Ingester) Append(chunk []float64, n int) error {
 		ing.mu.Unlock()
 		return errors.New("ingest: ingester is closed")
 	}
-	grown := false
-	for r := 0; r < n; r++ {
-		rec := chunk[r*d : (r+1)*d]
-		for j, v := range rec {
-			if v < ing.lo[j] {
-				ing.lo[j], grown = v, true
+	var grown []int // dimensions whose observed range the chunk widened
+	for j := 0; j < d; j++ {
+		lo, hi := ing.lo[j], ing.hi[j]
+		for p := j; p < len(chunk); p += d {
+			// Not the min/max builtins: a NaN must leave the range alone,
+			// as it does in a batch fit's domain pass.
+			v := chunk[p]
+			if v < lo {
+				lo = v
 			}
-			if v > ing.hi[j] {
-				ing.hi[j], grown = v, true
+			if v > hi {
+				hi = v
 			}
+		}
+		if lo != ing.lo[j] || hi != ing.hi[j] {
+			ing.lo[j], ing.hi[j] = lo, hi
+			grown = append(grown, j)
 		}
 	}
 	ing.buf.Values = append(ing.buf.Values, chunk...)
 	total := ing.buf.NumRecords()
 	units := mafia.AutoFineUnits(total)
-	if ing.hist == nil || grown || units != ing.hist.Units {
-		// Domain growth (or a unit-count step) invalidates the binning:
-		// rebuild from the buffer. Rare once the stream's range
-		// stabilizes — the common case is the in-place AddChunk below.
-		h := histogram.New(ing.domainsLocked(), units)
+	if ing.hist == nil || units != ing.hist.Units {
+		// A unit-count step changes every dimension's binning: rebuild
+		// from the buffer. It stops once the stream passes 10,000
+		// records.
+		domains := make([]dataset.Range, d)
+		for j := range domains {
+			domains[j] = ing.domainLocked(j)
+		}
+		h := histogram.New(domains, units)
 		h.AddChunk(ing.buf.Values, total)
 		ing.hist = h
 	} else {
+		// A grown domain changes its own dimension's binning only: that
+		// row is recounted over the buffer, every other row absorbs the
+		// chunk in place.
 		ing.hist.AddChunk(chunk, n)
+		for _, j := range grown {
+			ing.hist.Rebin(j, ing.domainLocked(j), ing.buf.Values)
+		}
 	}
 	pending := total - ing.lastFitN
 	trigger := ing.cfg.RefitEvery > 0 && !ing.fitting && pending >= ing.cfg.RefitEvery
@@ -253,7 +278,7 @@ func (ing *Ingester) Refit() (generation uint64, err error) {
 
 // fit runs the engine over a frozen snapshot and writes the model.
 func (ing *Ingester) fit(snap *dataset.Matrix, h *histogram.Hist, gen uint64) error {
-	res, err := mafia.Run(snap, mafia.Config{Hist: h})
+	res, err := mafia.Run(snap, mafia.Config{Hist: h, Populations: &ing.pops})
 	if err != nil {
 		return err
 	}
@@ -282,13 +307,13 @@ func (ing *Ingester) Close() error {
 	return nil
 }
 
-// domainsLocked widens the observed min/max into the half-open domains
-// a batch fit would compute over the same records. Caller holds ing.mu
-// and guarantees at least one record has been observed.
-func (ing *Ingester) domainsLocked() []dataset.Range {
-	domains := make([]dataset.Range, ing.dims)
-	for i := range domains {
-		domains[i] = dataset.Widen(dataset.Range{Lo: ing.lo[i], Hi: ing.hi[i]})
+// domainLocked widens dimension j's observed min/max into the
+// half-open domain a batch fit would compute over the same records:
+// [0,1) while the dimension has seen nothing but NaN. Caller holds
+// ing.mu.
+func (ing *Ingester) domainLocked(j int) dataset.Range {
+	if math.IsInf(ing.lo[j], 1) {
+		return dataset.Range{Lo: 0, Hi: 1}
 	}
-	return domains
+	return dataset.Widen(dataset.Range{Lo: ing.lo[j], Hi: ing.hi[j]})
 }

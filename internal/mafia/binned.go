@@ -181,7 +181,10 @@ func (c *counter) countCopy(bc *binnedCopy, workers int) (mergeSeconds float64, 
 // writes the binned copy; every later direct pass counts from the copy.
 // If the copy cannot be created or written the run keeps raw passes;
 // if a frame cannot be read back, diskio.corruptions counts it, the
-// copy is dropped and the level is counted from the shard.
+// copy is dropped and the level is counted from the shard. A level that
+// reuses stored populations (Config.Populations) never comes here: it
+// scans only the records appended since, so a fit whose every level
+// reuses them writes no copy.
 type populator struct {
 	shard   dataset.Source
 	chunk   int

@@ -13,6 +13,7 @@
 package mafia
 
 import (
+	"errors"
 	"fmt"
 
 	"pmafia/internal/gen"
@@ -104,6 +105,16 @@ type Config struct {
 	// skip the same collectives, so the SPMD invariant holds. The
 	// caller keeps ownership; the engine only reads it.
 	Hist *histogram.Hist
+	// Populations, when non-nil, holds the CDU populations of an earlier
+	// single-rank fit over the first Populations.N records of the same
+	// source. A level whose every CDU was counted there, under an
+	// unchanged bin mapping in each dimension it constrains, scans only
+	// the records past those and adds the stored counts, which gives the
+	// counts of a full pass exactly. After a successful run it holds this
+	// fit's populations, so the next fit can take it again. The streaming
+	// ingester keeps one across refits. A fit on more than one rank or a
+	// resumed fit rejects it.
+	Populations *Populations
 	// ChunkRecords is B, the number of records read per I/O chunk.
 	ChunkRecords int
 	// Tau is τ: a task-parallel step is divided among ranks only when
@@ -171,6 +182,14 @@ func (c *Config) Validate(dims int) error {
 		if c.Hist.Units > grid.MaxFineUnits || c.Hist.Units*dims > grid.MaxTotalFineUnits {
 			return fmt.Errorf("mafia: precomputed histogram has %d fine units × %d dims, the caps are %d per dim and %d in all",
 				c.Hist.Units, dims, grid.MaxFineUnits, grid.MaxTotalFineUnits)
+		}
+	}
+	if c.Populations != nil {
+		if c.Resume != nil {
+			return errors.New("mafia: a resumed fit cannot take stored populations")
+		}
+		if err := c.Populations.validate(dims); err != nil {
+			return err
 		}
 	}
 	if c.ChunkRecords == 0 {

@@ -87,6 +87,14 @@ func RunParallel(shards []dataset.Source, domains []dataset.Range, cfg Config, m
 	for _, s := range shards {
 		total += s.NumRecords()
 	}
+	if p := cfg.Populations; p != nil {
+		if mcfg.Procs > 1 {
+			return nil, fmt.Errorf("mafia: stored populations are single-rank, the fit has %d ranks", mcfg.Procs)
+		}
+		if p.N > total {
+			return nil, fmt.Errorf("mafia: stored populations cover %d records, the source holds %d", p.N, total)
+		}
+	}
 	if mcfg.Recorder == nil {
 		mcfg.Recorder = cfg.Recorder
 	}
@@ -128,6 +136,12 @@ type engine struct {
 	histFlat    []int64
 	// pop runs the population passes and holds the rank's binned copy.
 	pop populator
+	// sameBins holds, when Config.Populations came with counts, whether
+	// each dimension kept the bin mapping they were counted under;
+	// counted collects this run's populations, which replace them when
+	// the run succeeds.
+	sameBins []bool
+	counted  []LevelPopulations
 }
 
 func (e *engine) run(domains []dataset.Range) (*Result, error) {
@@ -198,6 +212,13 @@ func (e *engine) run(domains []dataset.Range) (*Result, error) {
 	sp.End()
 	if err != nil {
 		return nil, err
+	}
+
+	if p := cfg.Populations; p != nil && p.Grid != nil {
+		e.sameBins = make([]bool, len(e.g.Dims))
+		for i := range e.g.Dims {
+			e.sameBins[i] = e.g.Dims[i].SameBinning(&p.Grid.Dims[i])
+		}
 	}
 
 	res := &Result{N: int(h.N), Grid: e.g}
@@ -320,6 +341,9 @@ func (e *engine) runLevels(res *Result, du *unit.Array, registered []*unit.Array
 	sp := rec.Start(rank, "clusters")
 	res.Clusters = cluster.EliminateSubsets(cluster.Assemble(registered))
 	sp.End()
+	if cfg.Populations != nil {
+		*cfg.Populations = Populations{N: e.totalRecords, Grid: e.g, Levels: e.counted}
+	}
 	return res, nil
 }
 
@@ -471,15 +495,30 @@ func (e *engine) dedup(cdus *unit.Array) *unit.Array {
 // populate counts each CDU's population over this rank's shard (read
 // in chunks of B records, or from the rank's binned copy once the first
 // direct pass has written it) and sum-reduces to the global counts —
-// the data-parallel heart of the algorithm. It also returns the number
-// of records this rank counted and the worker-pool merge time.
+// the data-parallel heart of the algorithm. A level whose counts the
+// prior fit stored scans only the records appended since, with the
+// same kernel and no binned copy, and adds the stored counts. It also
+// returns the number of records this rank counted and the worker-pool
+// merge time.
 func (e *engine) populate(cdus *unit.Array) ([]int64, int64, float64, error) {
 	cnt := newCounter(e.g, cdus, e.cfg.Count)
-	mergeSec, err := e.pop.count(cnt)
+	var mergeSec float64
+	var err error
+	if stored := e.storedCounts(cdus); stored != nil {
+		mergeSec, err = cnt.scan(suffix{e.shard, e.cfg.Populations.N}, e.cfg.ChunkRecords, e.cfg.Workers, nil)
+		for i, c := range stored {
+			cnt.counts[i] += c
+		}
+	} else {
+		mergeSec, err = e.pop.count(cnt)
+	}
 	if err != nil {
 		return nil, 0, 0, err
 	}
 	e.c.AllreduceSumI64(cnt.counts)
+	if e.cfg.Populations != nil {
+		e.counted = append(e.counted, LevelPopulations{CDUs: cdus, Counts: cnt.counts})
+	}
 	return cnt.counts, cnt.records, mergeSec, nil
 }
 

@@ -3,13 +3,14 @@
 # and the full test suite under the race detector, then named gates
 # that must each resolve to real tests (metric names, serving: the
 # batch assign kernels and the framed handler's allocations,
-# population kernels and the binned copy they count from, hot swap,
-# recovery). With -smoke it additionally runs the fuzz smoke (every
-# untrusted-input decoder: .pmaf files, checkpoints, .pmfm models, CSV
-# and framed request bodies; plus the population kernels, raw and
-# stored) and the self-test of the repository benchmark (perfbench/,
-# its own Go module; see perfbench/README.md). Run from the repository
-# root (or via `make check`, which passes -smoke).
+# population kernels and the binned copy they count from, incremental
+# refits, hot swap, recovery). With -smoke it additionally runs the
+# fuzz smoke (every untrusted-input decoder: .pmaf files, checkpoints,
+# .pmfm models, CSV and framed request bodies; plus the population
+# kernels, raw and stored) and the self-test of the repository
+# benchmark (perfbench/, its own Go module; see perfbench/README.md).
+# Run from the repository root (or via `make check`, which passes
+# -smoke).
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -119,6 +120,16 @@ gate -run 'TestFramedHandlerAllocs' ./internal/daemon -count=1
 # its fit.
 echo "== population-kernel differential gate (kernels and binned copy vs scalar oracle)"
 gate -run 'TestCountKernelsAgree|TestParallelMatchesSerial|TestBinnedCopyCorruptFallsBack|TestBinnedCopyUncreatableKeepsRawPasses|TestBinnedCopyMissingAtomErrors|TestBinnedCopyLeavesNoFiles' ./internal/mafia -race -count=1
+
+# Incremental-refit gate: a fit handed the populations of an earlier
+# fit over a prefix of its records (the streaming ingester's refits)
+# must equal a from-scratch fit after every append, in grid, clusters,
+# levels and every level's CDU populations, and only single-rank,
+# unresumed fits may take them; the ingester's histogram, rebuilt one
+# dimension at a time as domains grow, must equal a batch build.
+echo "== incremental-refit gate (stored populations and per-dimension rebuilds vs from-scratch fits)"
+gate -run 'TestIncrementalFitMatchesScratch|TestPopulationsRejected' ./internal/mafia -race -count=1
+gate -run 'TestAppendRebinsGrownDimension|TestRefitMatchesBatch' ./internal/ingest -race -count=1
 
 # Swap-under-load gate: while sustained traffic runs, the served model
 # file is rewritten with alternating generations (and once with
