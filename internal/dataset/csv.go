@@ -4,6 +4,7 @@ import (
 	"encoding/csv"
 	"fmt"
 	"io"
+	"slices"
 	"strconv"
 )
 
@@ -13,6 +14,9 @@ import (
 func ReadCSV(r io.Reader) (m *Matrix, names []string, err error) {
 	cr := csv.NewReader(r)
 	cr.FieldsPerRecord = -1 // validate widths ourselves for better errors
+	// Every row is parsed into m.Values before the next is read, so the
+	// reader may hand back one reused field slice.
+	cr.ReuseRecord = true
 	first, err := cr.Read()
 	if err == io.EOF {
 		return nil, nil, fmt.Errorf("dataset: empty CSV")
@@ -20,17 +24,12 @@ func ReadCSV(r io.Reader) (m *Matrix, names []string, err error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	row, numeric := parseRow(first)
-	d := len(first)
-	if numeric {
-		m = &Matrix{D: d}
-		m.Append(row)
-	} else {
-		names = first
-		m = &Matrix{D: d}
+	m = &Matrix{D: len(first)}
+	var numeric bool
+	if m.Values, numeric = appendRow(m.Values, first); !numeric {
+		names = slices.Clone(first)
 	}
-	line := 1
-	for {
+	for line := 2; ; line++ {
 		rec, err := cr.Read()
 		if err == io.EOF {
 			break
@@ -38,15 +37,13 @@ func ReadCSV(r io.Reader) (m *Matrix, names []string, err error) {
 		if err != nil {
 			return nil, nil, err
 		}
-		line++
-		if len(rec) != d {
-			return nil, nil, fmt.Errorf("dataset: line %d has %d fields, want %d", line, len(rec), d)
+		if len(rec) != m.D {
+			return nil, nil, fmt.Errorf("dataset: line %d has %d fields, want %d", line, len(rec), m.D)
 		}
-		row, ok := parseRow(rec)
-		if !ok {
+		var ok bool
+		if m.Values, ok = appendRow(m.Values, rec); !ok {
 			return nil, nil, fmt.Errorf("dataset: line %d has a non-numeric field", line)
 		}
-		m.Append(row)
 	}
 	if m.NumRecords() == 0 {
 		return nil, nil, fmt.Errorf("dataset: CSV contains a header but no data rows")
@@ -54,16 +51,18 @@ func ReadCSV(r io.Reader) (m *Matrix, names []string, err error) {
 	return m, names, nil
 }
 
-func parseRow(fields []string) ([]float64, bool) {
-	row := make([]float64, len(fields))
-	for i, f := range fields {
+// appendRow parses fields onto vals. When a field is not a number it
+// returns vals as they were and false.
+func appendRow(vals []float64, fields []string) ([]float64, bool) {
+	n := len(vals)
+	for _, f := range fields {
 		v, err := strconv.ParseFloat(f, 64)
 		if err != nil {
-			return nil, false
+			return vals[:n], false
 		}
-		row[i] = v
+		vals = append(vals, v)
 	}
-	return row, true
+	return vals, true
 }
 
 // WriteCSV writes src as CSV. If names is non-nil it is emitted as a

@@ -155,12 +155,14 @@ func (s *matrixScanner) Close() error { return nil }
 
 // Domains scans src once and returns the observed [min, max] range of
 // each dimension, widened at the top by a relative epsilon so that the
-// maximum value itself falls inside the half-open domain.
+// maximum value itself falls inside the half-open domain. NaN values
+// are ignored, and a dimension with no other value gets [0, 1), as in a
+// fit's own domain pass.
 func Domains(src Source) ([]Range, error) {
 	d := src.Dims()
 	domains := make([]Range, d)
 	for i := range domains {
-		domains[i] = Range{Lo: maxFloat, Hi: -maxFloat}
+		domains[i] = Range{Lo: math.Inf(1), Hi: math.Inf(-1)}
 	}
 	sc := src.Scan(defaultScanChunk)
 	defer sc.Close()
@@ -190,7 +192,11 @@ func Domains(src Source) ([]Range, error) {
 		return nil, errors.New("dataset: empty source")
 	}
 	for j := range domains {
-		domains[j] = Widen(domains[j])
+		if math.IsInf(domains[j].Lo, 1) {
+			domains[j] = Range{Lo: 0, Hi: 1}
+		} else {
+			domains[j] = Widen(domains[j])
+		}
 	}
 	return domains, nil
 }
@@ -226,7 +232,4 @@ func WidenHi(lo, hi float64) float64 {
 	return math.Nextafter(hi, math.Inf(1))
 }
 
-const (
-	maxFloat         = 1.797693134862315708145274237317043567981e308
-	defaultScanChunk = 4096
-)
+const defaultScanChunk = 4096

@@ -117,7 +117,8 @@ func TestSlice(t *testing.T) {
 }
 
 func TestDomains(t *testing.T) {
-	m, _ := FromRows([][]float64{{1, -5}, {3, 0}, {2, 10}})
+	nan := math.NaN()
+	m, _ := FromRows([][]float64{{1, -5, nan, nan}, {3, 0, nan, 4}, {2, 10, nan, nan}})
 	doms, err := Domains(m)
 	if err != nil {
 		t.Fatal(err)
@@ -128,6 +129,14 @@ func TestDomains(t *testing.T) {
 	// Half-open widening: max must be inside.
 	if !doms[0].Contains(3) || !doms[1].Contains(10) {
 		t.Errorf("domain does not contain max: %v", doms)
+	}
+	// NaN is ignored; a dimension with no other value gets [0, 1), as in
+	// a fit's own domain pass.
+	if doms[2] != (Range{Lo: 0, Hi: 1}) {
+		t.Errorf("all-NaN dimension: domain %v, want [0, 1)", doms[2])
+	}
+	if doms[3] != Widen(Range{Lo: 4, Hi: 4}) {
+		t.Errorf("dimension with one value besides NaN: domain %v", doms[3])
 	}
 }
 

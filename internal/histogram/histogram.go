@@ -105,15 +105,25 @@ func (h *Hist) AddChunk(chunk []float64, n int) {
 	h.N += int64(n)
 }
 
-// Rebin sets dimension dim's domain and recounts its row over rows,
-// which must hold the N records h counted, row-major; the other
-// dimensions are left as they are. A stream whose records widened one
-// dimension's domain rebins that dimension alone.
-func (h *Hist) Rebin(dim int, domain dataset.Range, rows []float64) {
+// Rebin sets dimension dim's domain and recounts its row over src,
+// which must hold the N records h counted, reading in chunks of
+// chunkRecords; the other dimensions are left as they are. A stream
+// whose records widened one dimension's domain rebins that dimension
+// alone.
+func (h *Hist) Rebin(dim int, domain dataset.Range, src dataset.Source, chunkRecords int) error {
 	h.Domains[dim] = domain
 	h.lo[dim], h.width[dim] = domain.Lo, domain.Width()
 	clear(h.Counts[dim])
-	h.countDim(dim, rows[:int(h.N)*len(h.Domains)])
+	sc := src.Scan(chunkRecords)
+	defer sc.Close()
+	for {
+		chunk, n := sc.Next()
+		if n == 0 {
+			break
+		}
+		h.countDim(dim, chunk[:n*len(h.Domains)])
+	}
+	return sc.Err()
 }
 
 // countDim adds dimension dim of the row-major records in rows to its

@@ -11,21 +11,24 @@
 // bit-identical models to a batch fit over the same records: arriving
 // chunks fold into the running counts in O(chunk), and a record that
 // falls outside a dimension's observed domain forces a rebuild pass
-// over the buffer for that dimension's row alone. A refit is mafia.Run
-// over the frozen snapshot with the frozen histogram handed over
-// through mafia.Config.Hist, which skips the engine's own domains and
-// histogram passes, and the previous refit's CDU populations handed
-// over through mafia.Config.Populations, so every level whose CDUs and
-// bins are unchanged counts only the records appended since; then
+// over the buffer for that dimension's row alone. The buffer holds each
+// record once, in fixed blocks of 8192 records that are filled in place
+// and never copied or moved. A refit is mafia.Run over a frozen view of
+// the first n records with the frozen histogram handed over through
+// mafia.Config.Hist, which skips the engine's own domains and histogram
+// passes, and the previous refit's CDU populations handed over through
+// mafia.Config.Populations, so every level whose CDUs and bins are
+// unchanged counts only the records appended since; then
 // modelio.SaveMeta writes the result.
 //
 // Concurrency model: Append and Refit are safe to call from any
 // goroutine. Refits are serialized (single-flight) and run against a
-// frozen snapshot — the append-only record buffer means a snapshot
-// view taken under the lock stays immutable while later appends grow
-// the buffer — so ingestion never stalls behind a fit. The serving
-// daemon watches the output path and hot-swaps each new generation in;
-// the ingester itself never blocks on serving.
+// frozen snapshot — a copy of the block list taken under the lock,
+// whose records stay as they are while later appends fill the last
+// block past them and start new blocks — so ingestion never stalls
+// behind a fit. The serving daemon watches the output path and
+// hot-swaps each new generation in; the ingester itself never blocks
+// on serving.
 package ingest
 
 import (
@@ -87,13 +90,12 @@ type Ingester struct {
 	fitMu sync.Mutex
 	wg    sync.WaitGroup
 	// pops holds the CDU populations the last refit counted, over a
-	// prefix of the append-only buffer; the next refit counts only the
-	// records past it at every level that kept its CDUs and bins.
-	// Guarded by fitMu.
+	// prefix of the buffer; the next refit counts only the records past
+	// it at every level that kept its CDUs and bins. Guarded by fitMu.
 	pops mafia.Populations
 
 	mu       sync.Mutex
-	buf      *dataset.Matrix
+	buf      blocks
 	hist     *histogram.Hist
 	lo, hi   []float64 // observed per-dimension min/max
 	gen      uint64    // generation of the newest model written
@@ -124,7 +126,7 @@ func New(dims int, cfg Config) (*Ingester, error) {
 		cfg:  cfg,
 		dims: dims,
 		path: filepath.Join(cfg.Dir, cfg.Model),
-		buf:  &dataset.Matrix{D: dims},
+		buf:  blocks{d: dims},
 		lo:   make([]float64, dims),
 		hi:   make([]float64, dims),
 	}
@@ -142,12 +144,14 @@ func (ing *Ingester) Path() string { return ing.path }
 func (ing *Ingester) Dims() int { return ing.dims }
 
 // Append folds n row-major records (n*Dims values) into the stream:
-// the records are buffered for future refits and the running fine
-// histogram absorbs them. When the records grow a dimension's observed
-// domain, that dimension's row is recounted over the whole buffer (and
-// every row is, when the auto-scaled unit count steps up), so the
-// binning stays identical to what a batch fit over the same data would
-// compute. Triggers a background refit when RefitEvery is crossed.
+// the records are copied into the buffer's blocks for future refits —
+// the last block first, then new ones; no block is ever copied or
+// regrown — and the running fine histogram absorbs them. When the
+// records grow a dimension's observed domain, that dimension's row is
+// recounted over the whole buffer (and every row is, when the
+// auto-scaled unit count steps up), so the binning stays identical to
+// what a batch fit over the same data would compute. Triggers a
+// background refit when RefitEvery is crossed.
 func (ing *Ingester) Append(chunk []float64, n int) error {
 	d := ing.dims
 	if n <= 0 {
@@ -182,7 +186,7 @@ func (ing *Ingester) Append(chunk []float64, n int) error {
 			grown = append(grown, j)
 		}
 	}
-	ing.buf.Values = append(ing.buf.Values, chunk...)
+	ing.buf.add(chunk)
 	total := ing.buf.NumRecords()
 	units := mafia.AutoFineUnits(total)
 	if ing.hist == nil || units != ing.hist.Units {
@@ -193,8 +197,9 @@ func (ing *Ingester) Append(chunk []float64, n int) error {
 		for j := range domains {
 			domains[j] = ing.domainLocked(j)
 		}
+		// The buffer's scans cannot fail, here or in Rebin below.
 		h := histogram.New(domains, units)
-		h.AddChunk(ing.buf.Values, total)
+		_ = h.AddSource(&ing.buf, blockRecords)
 		ing.hist = h
 	} else {
 		// A grown domain changes its own dimension's binning only: that
@@ -202,7 +207,7 @@ func (ing *Ingester) Append(chunk []float64, n int) error {
 		// chunk in place.
 		ing.hist.AddChunk(chunk, n)
 		for _, j := range grown {
-			ing.hist.Rebin(j, ing.domainLocked(j), ing.buf.Values)
+			_ = ing.hist.Rebin(j, ing.domainLocked(j), &ing.buf, blockRecords)
 		}
 	}
 	pending := total - ing.lastFitN
@@ -238,13 +243,10 @@ func (ing *Ingester) Refit() (generation uint64, err error) {
 	rec := ing.cfg.Recorder
 
 	ing.mu.Lock()
-	n := ing.buf.NumRecords()
-	var snap *dataset.Matrix
+	snap := ing.buf.frozen()
+	n := snap.NumRecords()
 	var h *histogram.Hist
 	if n > 0 {
-		// The buffer is append-only, so a view of the first n records
-		// stays immutable while appends continue beyond it.
-		snap = &dataset.Matrix{D: ing.dims, Values: ing.buf.Values[:n*ing.dims]}
 		h = ing.hist.Clone()
 	}
 	nextGen := ing.gen + 1
@@ -277,7 +279,7 @@ func (ing *Ingester) Refit() (generation uint64, err error) {
 }
 
 // fit runs the engine over a frozen snapshot and writes the model.
-func (ing *Ingester) fit(snap *dataset.Matrix, h *histogram.Hist, gen uint64) error {
+func (ing *Ingester) fit(snap dataset.Source, h *histogram.Hist, gen uint64) error {
 	res, err := mafia.Run(snap, mafia.Config{Hist: h, Populations: &ing.pops})
 	if err != nil {
 		return err

@@ -54,11 +54,12 @@ func sameModel(t *testing.T, got, want *mafia.Result) {
 }
 
 // TestRefitMatchesBatch streams a data set in uneven chunks — the
-// later chunks widen the observed domains, forcing histogram rebuilds
-// — and checks the refit model is the one a batch fit over the same
-// records computes.
+// later chunks widen the observed domains, forcing histogram rebuilds,
+// and span the ingester's 8192-record blocks: the stream fills three
+// and part of a fourth — and checks the refit model is the one a batch
+// fit over the same records computes.
 func TestRefitMatchesBatch(t *testing.T) {
-	m := genData(t, 3000, 11)
+	m := genData(t, 26000, 11)
 	ing, err := ingest.New(5, ingest.Config{Dir: t.TempDir(), Model: "m.pmfm"})
 	if err != nil {
 		t.Fatal(err)

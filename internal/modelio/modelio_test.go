@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"math"
 	"os"
 	"path/filepath"
 	"testing"
@@ -13,6 +14,7 @@ import (
 	"pmafia/internal/mafia"
 	"pmafia/internal/modelio"
 	"pmafia/internal/rng"
+	"pmafia/internal/sp2"
 )
 
 // fit runs the engine on generated data and returns both.
@@ -179,6 +181,35 @@ func TestMetaRoundTrip(t *testing.T) {
 	if meta2.Fingerprint != meta.Fingerprint {
 		t.Errorf("fingerprint moved across generations of the same payload: %x vs %x",
 			meta2.Fingerprint, meta.Fingerprint)
+	}
+}
+
+// TestSaveFitOverAllNaNDimension fits with the domains dataset.Domains
+// computes for a matrix with a dimension that holds nothing but NaN.
+// That dimension's domain is [0, 1), so the model saves and loads.
+func TestSaveFitOverAllNaNDimension(t *testing.T) {
+	_, m := fit(t, 10)
+	for p := 2; p < len(m.Values); p += m.D {
+		m.Values[p] = math.NaN()
+	}
+	domains, err := dataset.Domains(m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := mafia.RunParallel([]dataset.Source{m}, domains, mafia.Config{}, sp2.Config{Procs: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "model.pmfm")
+	if err := modelio.SaveMeta(path, res, 1); err != nil {
+		t.Fatal(err)
+	}
+	got, _, err := modelio.LoadMeta(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.N != res.N || len(got.Clusters) != len(res.Clusters) {
+		t.Errorf("payload differs after the round trip")
 	}
 }
 
