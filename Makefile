@@ -7,12 +7,13 @@ test:
 	go test ./...
 
 # Extended tier-1 gate: vet (host and big-endian) + gofmt + staticcheck
-# + full suite under -race + named gates (among them the population
-# kernels and the binned copy they count from) + fuzz smoke on the
-# untrusted-input decoders (.pmaf files, checkpoints, .pmfm models, CSV
-# and framed request bodies) and the population kernels + the
-# self-test of the repository benchmark (perfbench/; run the benchmark
-# itself with perfbench/run.sh, see perfbench/README.md).
+# + full suite under -race + named gates (among them the CSV decoder
+# against strconv and encoding/csv, and the population kernels and the
+# binned copy they count from) + fuzz smoke on the untrusted-input
+# decoders (.pmaf files, checkpoints, .pmfm models, CSV and framed
+# request bodies, the CSV field parser) and the population kernels +
+# the self-test of the repository benchmark (perfbench/; run the
+# benchmark itself with perfbench/run.sh, see perfbench/README.md).
 check:
 	sh scripts/check.sh -smoke
 

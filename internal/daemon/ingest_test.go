@@ -151,7 +151,8 @@ func TestRefitsLeaveRecorderClean(t *testing.T) {
 }
 
 // TestIngestErrors pins the endpoint's failure modes: disabled unless
-// configured, POST only, and whole well-shaped records only.
+// configured, POST only, whole well-shaped records only, and a body
+// over the size limit refused as too large.
 func TestIngestErrors(t *testing.T) {
 	dir := t.TempDir()
 	fitModel(t, dir, "a.pmfm", 43)
@@ -172,6 +173,7 @@ func TestIngestErrors(t *testing.T) {
 		ModelDir:    dir,
 		IngestModel: "live.pmfm",
 		IngestDims:  5,
+		MaxBody:     64,
 	})
 	defer d.Shutdown(context.Background())
 
@@ -193,6 +195,20 @@ func TestIngestErrors(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Errorf("3-dim body into 5-dim stream: status %d, want 400", resp.StatusCode)
+	}
+
+	// An oversized CSV body is 413, not a generic 400: the decoder
+	// returns the body reader's error as it is. The oversize stays
+	// modest so the request fits in socket buffers and the client
+	// always reads the reply.
+	big := bytes.Repeat([]byte("1,2,3,4,5\n"), 20)
+	resp, err = http.Post(base+"/ingest", "text/csv", bytes.NewReader(big))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Errorf("oversized CSV body: status %d, want 413", resp.StatusCode)
 	}
 
 	// A refit over zero records reports failure, not a crash.

@@ -1,14 +1,18 @@
 package dataset
 
 import (
+	"bytes"
 	"encoding/csv"
+	"errors"
 	"fmt"
 	"io"
 	"math"
+	"math/rand"
 	"slices"
 	"strconv"
 	"strings"
 	"testing"
+	"testing/iotest"
 )
 
 // readCSVRows is the row-by-row decoder ReadCSV must agree with: the
@@ -89,8 +93,9 @@ func matchRowDecoder(body string) error {
 }
 
 // TestReadCSVMatchesRowDecoder holds ReadCSV to the row-by-row decoder
-// on bodies covering quoted fields, CRLF line ends, headers, ragged
-// rows and every error.
+// on bodies covering quoted fields from the first line or a later one,
+// every kind of line end, lines longer than the read buffer, headers,
+// ragged rows and every error.
 func TestReadCSVMatchesRowDecoder(t *testing.T) {
 	for _, body := range []string{
 		"1,2,3\n4,5,6\n",
@@ -115,19 +120,108 @@ func TestReadCSVMatchesRowDecoder(t *testing.T) {
 		"1,2\n3,4",
 		"",
 		"\n",
+		// A first quote after split lines: parse errors must name the
+		// lines of the whole body, empty ones included.
+		"1,2\n\"3\",4\n5,6\n",
+		"1,2\n\n\n3,x\"y\n",
+		"\n1,2\n\n3,4\n\n5,\"6\n",
+		"1,2\n\n3,\"4\n5\"x\n",
+		"\n\n\"a\nb\",c\n1,2\n3,\"4\"x\n",
+		"1,2\r\n\r\n3,4\r\n\"5\"x,6\r\n",
+		"1,2\n3,4\n\"5\n6\",7\n",
+		"1,2\n\"3\",\"4\"\n\"5\",\"6\n\"\n",
+		"a,b\n1,2\n\"3\",4\n5,6\n7\n",
+		// A quoted header after empty or numeric-looking lines.
+		"\n\n\"a\",\"b\"\n1,2\n",
+		"1,2\n\"a\",\"b\"\n3,4\n",
+		// Line ends: "\r\r\n", a final '\r' with no newline, a lone
+		// '\r' line at the end, and a '\r' inside a field.
+		"1,2\r\r\n3,4\n",
+		"1,2\n3,4\r",
+		"1,2\n3,4\r\r",
+		"1,2\n\r",
+		"1\r,2\n3,4\n",
+		"a\rb,c\n1,2\n",
+		"1,2\n3\r4,5\n",
+		// Empty and sign-only fields, and values only strconv parses.
+		"1,\n",
+		",\n1,2\n",
+		"1,2\n3,\n",
+		"+,-\n.,1\n",
+		"1e5,0x1p-2\n1_0,2\n",
+		"9007199254740993,4503599627370496.5\n-0,+.5\n",
+		"1e400,1\n2,3\n",
 	} {
 		if err := matchRowDecoder(body); err != nil {
 			t.Errorf("%q: %v", body, err)
 		}
 	}
+	// Lines longer than the 4 KB read buffer, with and without a
+	// quote, and a quote on the line after one.
+	long := strings.Repeat("1.2345678901234567,", 400) + "8"
+	for _, body := range []string{
+		long + "\n" + long + "\n",
+		long + "\n" + long,
+		long + "\r\n" + long + "\r",
+		"a" + long[1:] + "\n" + long + "\n",
+		long + "\n\"" + long[1:] + "\n",
+		long + "\n" + long + "\n" + `"1",2` + "\n",
+		long + "\n" + long[:3000] + `"` + long[3000:] + "\n",
+		long + "\n" + long + "\n\"x\n",
+	} {
+		if err := matchRowDecoder(body); err != nil {
+			t.Errorf("%d-byte body: %v", len(body), err)
+		}
+	}
 }
 
-// TestReadCSVAllocations pins ReadCSV near one allocation per row, the
-// string csv.Reader makes of each row's fields; the rest are the
-// reader's and the growing value slice's. The row-by-row decoder made
-// three per row.
+// TestReadCSVReadError feeds ReadCSV a body whose reader fails for good
+// partway: with no quote, with a quote before the failure, and with the
+// failure inside a line and inside a quoted field. The error must be the
+// reader's, as the row decoder's is.
+func TestReadCSVReadError(t *testing.T) {
+	errRead := errors.New("connection reset")
+	for _, body := range []string{
+		"1,2\n3,4\n",
+		"1,2\n3,",
+		"a,b\n1,2\n3,4\n\"5\",6\n7,8\n",
+		"1,2\n\"3\",4\n5,",
+		"1,2\n3,\"4\n",
+		strings.Repeat("1,2\n", 2000),
+	} {
+		failing := func() io.Reader { return io.MultiReader(strings.NewReader(body), iotest.ErrReader(errRead)) }
+		_, _, err := ReadCSV(failing())
+		_, _, werr := readCSVRows(failing())
+		if !errors.Is(err, errRead) || !errors.Is(werr, errRead) {
+			t.Errorf("%.40q: error %v, row decoder %v, want %v", body, err, werr, errRead)
+		}
+	}
+}
+
+// TestReadCSVAllocations pins ReadCSV's allocations to a count that
+// does not grow with the rows: the reader's, the decoder's and the
+// value slice's doublings. Split lines are parsed in place, so no row
+// makes a string; through csv.Reader each made one.
 func TestReadCSVAllocations(t *testing.T) {
-	const rows, cols = 2000, 10
+	const cols, limit = 10, 64
+	for _, rows := range []int{2000, 20000} {
+		body := numericCSV(rows, cols)
+		var r strings.Reader
+		allocs := testing.AllocsPerRun(5, func() {
+			r.Reset(body)
+			if _, _, err := ReadCSV(&r); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs > limit {
+			t.Errorf("ReadCSV made %.0f allocations for %d rows, want at most %d", allocs, rows, limit)
+		}
+	}
+}
+
+// numericCSV returns rows×cols values of (r·cols+c)/7, written as
+// WriteCSV writes them.
+func numericCSV(rows, cols int) string {
 	var b strings.Builder
 	for r := 0; r < rows; r++ {
 		for c := 0; c < cols; c++ {
@@ -138,16 +232,31 @@ func TestReadCSVAllocations(t *testing.T) {
 		}
 		b.WriteByte('\n')
 	}
-	body := b.String()
-	var r strings.Reader
-	allocs := testing.AllocsPerRun(5, func() {
-		r.Reset(body)
+	return b.String()
+}
+
+// BenchmarkReadCSV decodes a body shaped like a benchmark /ingest
+// chunk: 2000 records of 10 values uniform in [0,100), each written in
+// shortest form, as WriteCSV writes them.
+func BenchmarkReadCSV(b *testing.B) {
+	rng := rand.New(rand.NewSource(1))
+	m := NewMatrix(2000, 10)
+	for i := range m.Values {
+		m.Values[i] = 100 * rng.Float64()
+	}
+	var buf bytes.Buffer
+	if err := WriteCSV(&buf, m, nil); err != nil {
+		b.Fatal(err)
+	}
+	b.SetBytes(int64(buf.Len()))
+	b.ReportAllocs()
+	b.ResetTimer()
+	var r bytes.Reader
+	for i := 0; i < b.N; i++ {
+		r.Reset(buf.Bytes())
 		if _, _, err := ReadCSV(&r); err != nil {
-			t.Fatal(err)
+			b.Fatal(err)
 		}
-	})
-	if limit := rows + rows/20; allocs > float64(limit) {
-		t.Errorf("ReadCSV made %.0f allocations for %d rows, want at most %d", allocs, rows, limit)
 	}
 }
 

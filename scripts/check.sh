@@ -2,13 +2,15 @@
 # Extended tier-1 gate: vet (also for a big-endian target), formatting,
 # and the full test suite under the race detector, then named gates
 # that must each resolve to real tests (metric names, serving: the
-# batch assign kernels and the framed handler's allocations,
-# population kernels and the binned copy they count from, incremental
-# refits, hot swap, recovery). With -smoke it additionally runs the
-# fuzz smoke (every untrusted-input decoder: .pmaf files, checkpoints,
-# .pmfm models, CSV and framed request bodies; plus the population
-# kernels, raw and stored) and the self-test of the repository
-# benchmark (perfbench/, its own Go module; see perfbench/README.md).
+# batch assign kernels and the framed handler's allocations, the CSV
+# decoder against strconv and encoding/csv, population kernels and the
+# binned copy they count from, incremental refits, hot swap,
+# recovery). With -smoke it additionally runs the fuzz smoke (every
+# untrusted-input decoder: .pmaf files, checkpoints, .pmfm models, CSV
+# and framed request bodies and the CSV field parser; plus the
+# population kernels, raw and stored) and the self-test of the
+# repository benchmark (perfbench/, its own Go module; see
+# perfbench/README.md).
 # Run from the repository root (or via `make check`, which passes
 # -smoke).
 set -eu
@@ -110,6 +112,15 @@ gate -run 'TestConcurrentAssignAndScrape' ./internal/daemon -race -count=1
 gate -run 'TestPropertyMatchesOracle|TestFittedModelMatchesEngineAssign|TestBatchKernelPropertySweep' ./internal/assign -race -count=1
 gate -run 'TestFramedHandlerAllocs' ./internal/daemon -count=1
 
+# CSV decoder differential gate: the field parser must return
+# strconv.ParseFloat's bits and verdict on millions of formatted
+# floats, random digit strings and boundary cases, and ReadCSV (split
+# lines, then encoding/csv from the first quote) must decode every body
+# exactly as the row-by-row encoding/csv decoder does, error texts and
+# line numbers included.
+echo "== CSV decoder differential gate (field parser vs strconv, ReadCSV vs row decoder)"
+gate -run 'TestParseFloatMatchesStrconv|TestReadCSVMatchesRowDecoder' ./internal/dataset -count=1
+
 # The fit path's population kernels (bit-sliced direct, grouped bitset,
 # and the direct kernel counting from the binned copy) must agree count for count with the scalar per-record oracle on
 # edge-case records, partial blocks, and sharded workers; parallel fits
@@ -153,11 +164,12 @@ if [ "$smoke" = 1 ]; then
     # Minimizing each new input would otherwise eat most of the 10 s
     # window (a few thousand execs); one minimization step per input
     # leaves the window to fuzzing.
-    echo "== fuzz smoke (FuzzOpen + FuzzDecode + FuzzLoad + FuzzReadCSV + FuzzAssignFrame + FuzzPopulateKernels, 10s each)"
+    echo "== fuzz smoke (FuzzOpen + FuzzDecode + FuzzLoad + FuzzReadCSV + FuzzParseFloat + FuzzAssignFrame + FuzzPopulateKernels, 10s each)"
     gate -fuzz FuzzOpen ./internal/diskio -run '^$' -fuzztime 10s -fuzzminimizetime 1x
     gate -fuzz FuzzDecode ./internal/ckpt -run '^$' -fuzztime 10s -fuzzminimizetime 1x
     gate -fuzz FuzzLoad ./internal/modelio -run '^$' -fuzztime 10s -fuzzminimizetime 1x
     gate -fuzz FuzzReadCSV ./internal/dataset -run '^$' -fuzztime 10s -fuzzminimizetime 1x
+    gate -fuzz FuzzParseFloat ./internal/dataset -run '^$' -fuzztime 10s -fuzzminimizetime 1x
     gate -fuzz FuzzAssignFrame ./internal/daemon -run '^$' -fuzztime 10s -fuzzminimizetime 1x
     gate -fuzz FuzzPopulateKernels ./internal/mafia -run '^$' -fuzztime 10s -fuzzminimizetime 1x
 
